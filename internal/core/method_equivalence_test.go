@@ -102,6 +102,110 @@ func TestJacobiGoldenPreRefactor(t *testing.T) {
 	}
 }
 
+// hashEvents folds the replay-relevant fields of a captured event stream
+// (epoch, block, sweeps, shift) into one comparable word.
+func hashEvents(evs []sched.Event) uint64 {
+	h := fnv.New64a()
+	var buf [14]byte
+	for _, e := range evs {
+		binary.LittleEndian.PutUint32(buf[0:], uint32(e.Epoch))
+		binary.LittleEndian.PutUint32(buf[4:], uint32(e.Block))
+		binary.LittleEndian.PutUint32(buf[8:], uint32(e.Sweeps))
+		binary.LittleEndian.PutUint16(buf[12:], uint16(e.Shift))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// hashTrace folds every statistic of a Chazan–Miranker trace into one word.
+func hashTrace(tr *Trace) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, c := range tr.UpdatesPerBlock {
+		put(int64(c))
+	}
+	put(int64(tr.GlobalIterations))
+	put(int64(tr.MaxShift))
+	put(tr.TotalReads)
+	put(tr.StaleReads)
+	put(int64(tr.SkippedUpdates))
+	for s := 0; s <= tr.MaxShift; s++ {
+		put(tr.ShiftCounts[s])
+	}
+	return h.Sum64()
+}
+
+// TestBarrierGoldenPreRefactor pins, with hashes recorded on the tree
+// before the barrier engines were folded into one driver, what
+// TestJacobiGoldenPreRefactor does not reach: the event stream and trace
+// statistics a simulated solve records (with skipped blocks and stale
+// reads), the goroutine engine replaying that capture, and the simulated
+// engine replaying the same capture as a flat free-running one.
+func TestBarrierGoldenPreRefactor(t *testing.T) {
+	golden := map[string]uint64{
+		"fv_20x16/live":                  0xe05c31e6079873e5,
+		"fv_20x16/events":                0x19c67d77faba103a,
+		"fv_20x16/trace":                 0xa594ef7c80594739,
+		"fv_20x16/goroutine-replay":      0xc6aaec813618a0d6,
+		"fv_20x16/flat-replay":           0xc6aaec813618a0d6,
+		"poisson_15/live":                0x3b60dfdbed144b4d,
+		"poisson_15/events":              0x19c67d77faba103a,
+		"poisson_15/trace":               0xa4dae973d858f07f,
+		"poisson_15/goroutine-replay":    0x567868ad69463545,
+		"poisson_15/flat-replay":         0x567868ad69463545,
+		"trefethen_500/live":             0x0a3d264c128164c3,
+		"trefethen_500/events":           0xc1a2e81dc66219c5,
+		"trefethen_500/trace":            0x4a27cd9f121f1956,
+		"trefethen_500/goroutine-replay": 0x8cc0197b9c345c7e,
+		"trefethen_500/flat-replay":      0x8cc0197b9c345c7e,
+	}
+	check := func(key string, got uint64) {
+		t.Helper()
+		if got != golden[key] {
+			t.Errorf("%s: hash %#x, pre-refactor golden %#x", key, got, golden[key])
+		}
+	}
+	for _, tc := range methodCases() {
+		b := methodRHS(tc.a.Rows)
+		rec := sched.NewRecorder(0)
+		live, err := Solve(tc.a, b, Options{
+			BlockSize: tc.bs, LocalIters: 3, Omega: 0.9, MaxGlobalIters: 25,
+			Seed: 5, StaleProb: 0.2, RecordTrace: true, Record: rec,
+			SkipBlock: func(iter, block int) bool { return iter == 2 && block == 1 },
+		})
+		if err != nil {
+			t.Fatalf("%s live: %v", tc.name, err)
+		}
+		s := rec.Schedule()
+		check(tc.name+"/live", hashIterate(live.X, live.Residual))
+		check(tc.name+"/events", hashEvents(s.Events))
+		check(tc.name+"/trace", hashTrace(live.Trace))
+
+		rep, err := Solve(tc.a, b, Options{
+			BlockSize: tc.bs, LocalIters: 3, MaxGlobalIters: 25,
+			Engine: EngineGoroutine, Workers: 4, Replay: s,
+		})
+		if err != nil {
+			t.Fatalf("%s goroutine replay: %v", tc.name, err)
+		}
+		check(tc.name+"/goroutine-replay", hashIterate(rep.X, rep.Residual))
+
+		flat := *s
+		flat.Meta.Engine = "freerunning"
+		frep, err := Solve(tc.a, b, Options{
+			BlockSize: tc.bs, LocalIters: 3, MaxGlobalIters: 25, Replay: &flat,
+		})
+		if err != nil {
+			t.Fatalf("%s flat replay: %v", tc.name, err)
+		}
+		check(tc.name+"/flat-replay", hashIterate(frep.X, frep.Residual))
+	}
+}
+
 // TestMethodEquivalenceBetaZeroDeterministic is the seam's defining
 // property on the deterministic engines: richardson2 with β = 0 must be
 // bit-identical to jacobi — the momentum branch is gated on β ≠ 0, not on

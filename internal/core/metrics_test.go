@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mats"
@@ -234,34 +235,62 @@ func TestSolveMetricsExposition(t *testing.T) {
 // before the first global iteration completes — i.e. cancellation latency
 // is one block sweep, not one global iteration. The chaos Delay hook
 // (which runs before each block execution) cancels after the third block
-// and counts subsequent executions.
+// and counts subsequent executions; replays ignore chaos hooks, so the
+// replay row cancels through a context that turns done once the schedule
+// recorder holds the third event.
 func TestCancelWithinOneSweep(t *testing.T) {
 	a := mats.MustGenerate("Trefethen_2000").A
 	b := onesRHS(a)
+	p, err := NewPlan(a, 32, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := sched.NewRecorder(0)
+	if _, err := SolveWithPlan(p, b, Options{LocalIters: 5, MaxGlobalIters: 2, Seed: 11, Record: capture}); err != nil {
+		t.Fatal(err)
+	}
+	const cancelAfter = 3
 
 	for _, tc := range []struct {
-		name    string
-		engine  EngineKind
-		workers int
-		slack   int // extra in-flight blocks allowed after cancel
+		name  string
+		slack int // extra in-flight blocks allowed after cancel
+		solve func(opt Options) (Result, error)
 	}{
 		// The simulated engine is sequential: the block after the
 		// canceling one must never execute.
-		{"simulated", EngineSimulated, 0, 0},
+		{"simulated", 0, func(opt Options) (Result, error) {
+			return SolveWithPlan(p, b, opt)
+		}},
 		// The goroutine engine stops dispatching once canceled; only the
 		// blocks already in flight (≤ workers) may still run.
-		{"goroutine", EngineGoroutine, 4, 4},
+		{"goroutine", 4, func(opt Options) (Result, error) {
+			opt.Engine, opt.Workers = EngineGoroutine, 4
+			return SolveWithPlan(p, b, opt)
+		}},
+		{"sharded-sequential", 0, func(opt Options) (Result, error) {
+			return SolveSharded(p, b, opt, ShardOptions{Shards: 4, Sequential: true})
+		}},
+		// Every shard checks the context before each of its blocks: at
+		// most one block per shard is in flight.
+		{"sharded-concurrent", 4, func(opt Options) (Result, error) {
+			return SolveSharded(p, b, opt, ShardOptions{Shards: 4})
+		}},
+		// A replay executes the recorded events one at a time.
+		{"goroutine-replay", 0, func(opt Options) (Result, error) {
+			opt.Engine, opt.Workers, opt.Replay = EngineGoroutine, 4, capture.Schedule()
+			opt.Ctx = recordedCtx{opt.Ctx, opt.Record, cancelAfter}
+			return SolveWithPlan(p, b, opt)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			const cancelAfter = 3
-			var executed int
-			res, err := Solve(a, b, Options{
-				BlockSize: 32, LocalIters: 5, MaxGlobalIters: 50,
-				Seed: 11, Engine: tc.engine, Workers: tc.workers, Ctx: ctx,
+			var started atomic.Int64
+			rec := sched.NewRecorder(0)
+			res, err := tc.solve(Options{
+				LocalIters: 5, MaxGlobalIters: 50, Seed: 11, Ctx: ctx, Record: rec,
 				Chaos: &ChaosHooks{Delay: func(iter, block int) {
-					if executed++; executed == cancelAfter {
+					if started.Add(1) == cancelAfter {
 						cancel()
 					}
 				}},
@@ -276,8 +305,12 @@ func TestCancelWithinOneSweep(t *testing.T) {
 				t.Errorf("GlobalIterations = %d, want 0 (canceled inside the first sweep)",
 					res.GlobalIterations)
 			}
-			nb := (a.Rows + 31) / 32
-			if executed > cancelAfter+tc.slack {
+			if len(res.X) != a.Rows {
+				t.Errorf("partial iterate has %d components, want %d", len(res.X), a.Rows)
+			}
+			executed := max(started.Load(), int64(rec.Len()))
+			nb := int64(p.NumBlocks())
+			if executed > cancelAfter+int64(tc.slack) {
 				t.Errorf("%d blocks executed after cancel (total %d of %d), want ≤ %d",
 					executed-cancelAfter, executed, nb, cancelAfter+tc.slack)
 			}
@@ -286,6 +319,24 @@ func TestCancelWithinOneSweep(t *testing.T) {
 			}
 		})
 	}
+}
+
+// recordedCtx is a context that turns done once rec holds n events: a
+// cancel trigger for replays, which run no chaos hooks.
+type recordedCtx struct {
+	context.Context
+	rec *sched.Recorder
+	n   int
+}
+
+func (c recordedCtx) Err() error {
+	if err := c.Context.Err(); err != nil {
+		return err
+	}
+	if c.rec.Len() >= c.n {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestCancelWithinOneSweepReplay proves the same granularity for the
