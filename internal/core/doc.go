@@ -27,8 +27,8 @@
 //     further synchronization. Interleavings — and therefore results —
 //     genuinely vary between runs, like the paper's 1000-run study (§4.1).
 //
-//   - EngineFreeRunning: an extension with no global barrier at all; see
-//     SolveFreeRunning.
+//   - EngineFreeRunning: an extension with no global barrier, only a
+//     bounded lead between workers; see SolveFreeRunning.
 //
 // All engines run their inner sweeps through a fused block-row kernel
 // staged once in NewPlan — the host-side analogue of the paper's

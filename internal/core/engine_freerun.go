@@ -4,24 +4,27 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/sched"
 	"repro/internal/sparse"
-	"repro/internal/vecmath"
 )
 
 // FreeRunningOptions configures SolveFreeRunning, the fully asynchronous
-// extension engine: there is no global barrier of any kind. Each worker
-// owns a fixed set of blocks and sweeps them in a loop until a monitor
-// observes convergence or the update budget is exhausted. This is the
-// purest software realization of chaotic relaxation — the update function
-// u(·) is whatever the Go scheduler produces — and demonstrates the
-// paper's Exascale argument: progress continues regardless of relative
-// worker speeds.
+// extension engine: there is no global barrier. Each worker owns a fixed
+// set of blocks and sweeps them in a loop until the convergence monitor
+// confirms the tolerance or the update budget is exhausted. The only
+// coordination is a bounded lead — a worker blocks while it is two sweep
+// rounds ahead of the slowest (the Chazan–Miranker fairness condition,
+// enforced instead of hoped for) — and the brief pause of the workers
+// while the monitor confirms a converged-looking residual on a consistent
+// iterate. Within those bounds the update function u(·) is whatever the Go
+// scheduler produces: the purest software realization of chaotic
+// relaxation, and a demonstration of the paper's Exascale argument that
+// progress continues regardless of relative worker speeds.
 type FreeRunningOptions struct {
 	BlockSize  int
 	LocalIters int
@@ -29,7 +32,9 @@ type FreeRunningOptions struct {
 	// across all workers. Required > 0.
 	MaxBlockUpdates int64
 	// Tolerance is the absolute l2 residual target checked by the monitor.
-	// Required > 0 (a free-running solve needs a stopping rule).
+	// Required > 0 (a free-running solve needs a stopping rule). The run
+	// stops only once the tolerance holds on the quiesced iterate, which
+	// is the iterate it returns.
 	Tolerance float64
 	// Workers defaults to 14 (Fermi multiprocessor count).
 	Workers int
@@ -206,47 +211,68 @@ func SolveFreeRunningWithPlan(plan *Plan, b []float64, opt FreeRunningOptions) (
 	rule := newUpdateRule(opt.Method, 1, opt.Beta, opt.Precision, start, nil)
 	em := opt.Metrics.engine("freerunning")
 
-	var (
-		updates  int64 // atomic: total block updates
-		stop     int32 // atomic: 1 once the monitor called the race
-		canceled int32 // atomic: 1 when Ctx ended the run
-		wg       sync.WaitGroup
-	)
+	f := &freeRun{rounds: make([]int, workers)}
+	f.cond = sync.NewCond(&f.mu)
+	xs := make([]float64, n)
+	r := make([]float64, n)
+	// check is the convergence monitor, run by the worker whose update
+	// reservation lands on a multiple of checkEvery. The snapshot it copies
+	// races with the other workers' writes, so a snapshot that looks
+	// converged is confirmed on the quiesced iterate; only that stops the
+	// run, which then ends on exactly the confirmed iterate. A shortfall
+	// lets the workers resume.
+	converged := func() bool {
+		x.CopyInto(xs)
+		nrm := residualInto(r, a, b, xs)
+		opt.Metrics.pushResidual(nrm)
+		return nrm <= opt.Tolerance || math.IsNaN(nrm) || math.IsInf(nrm, 0)
+	}
+	check := func() {
+		if !f.monitor.TryLock() {
+			return // a check is already running
+		}
+		defer f.monitor.Unlock()
+		if converged() {
+			f.quiesce.Lock()
+			if converged() {
+				f.halt()
+			}
+			f.quiesce.Unlock()
+		}
+	}
 
-	// Context watcher: flips the same stop flag the monitor uses, so the
-	// workers exit at their next block boundary.
+	// Context watcher: stops the workers at their next block boundary.
 	watcherDone := make(chan struct{})
 	if opt.Ctx != nil {
 		go func() {
 			select {
 			case <-opt.Ctx.Done():
-				atomic.StoreInt32(&canceled, 1)
-				atomic.StoreInt32(&stop, 1)
+				f.canceled.Store(true)
+				f.halt()
 			case <-watcherDone:
 			}
 		}()
 	}
 
 	// Workers: worker w owns blocks w, w+workers, w+2·workers, ... and
-	// sweeps them round-robin, satisfying fairness (condition 1) while the
-	// relative progress of different workers is left to the Go scheduler.
+	// sweeps them round-robin, satisfying fairness (condition 1). Relative
+	// progress is left to the Go scheduler within the maxLead bound.
+	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
+			defer f.exit(w)
 			scr := plan.getKernelScratch()
 			defer plan.putKernelScratch(scr)
-			round := 0
-			for atomic.LoadInt32(&stop) == 0 {
-				progressed := false
-				round++
+			for round := 1; f.await(w); round++ {
 				for bi := w; bi < nb; bi += workers {
-					if atomic.LoadInt32(&stop) != 0 {
-						return
-					}
-					if atomic.AddInt64(&updates, 1) > opt.MaxBlockUpdates {
-						atomic.AddInt64(&updates, -1)
-						atomic.StoreInt32(&stop, 1)
+					f.quiesce.RLock()
+					u := f.updates.Add(1)
+					if f.stop.Load() || u > opt.MaxBlockUpdates {
+						f.updates.Add(-1)
+						f.quiesce.RUnlock()
+						f.halt()
 						return
 					}
 					opt.Chaos.delay(em, round, bi)
@@ -258,72 +284,86 @@ func SolveFreeRunningWithPlan(plan *Plan, b []float64, opt FreeRunningOptions) (
 							Sweeps: int32(opt.LocalIters), Worker: int16(w),
 						})
 					}
-					progressed = true
-					// Yield between block sweeps. On hosts with fewer
-					// cores than workers, a tight loop would otherwise
-					// re-sweep its own blocks thousands of times per
-					// scheduling quantum while neighbours are parked —
-					// wasted work that starves the Chazan–Miranker
-					// fairness condition and stalls convergence.
-					runtime.Gosched()
+					f.quiesce.RUnlock()
+					if u%checkEvery == 0 {
+						check()
+					}
 				}
-				if !progressed {
-					return
-				}
+				f.endRound(w)
 			}
-		}(w)
+		}()
 	}
-
-	// Monitor: polls the residual every checkEvery block updates.
-	monitorDone := make(chan FreeRunningResult, 1)
-	go func() {
-		r := make([]float64, n)
-		xs := make([]float64, n)
-		lastChecked := int64(0)
-		for {
-			if atomic.LoadInt32(&stop) != 0 {
-				break
-			}
-			u := atomic.LoadInt64(&updates)
-			if u-lastChecked < checkEvery {
-				runtime.Gosched()
-				continue
-			}
-			lastChecked = u
-			x.CopyInto(xs)
-			a.MulVec(r, xs)
-			vecmath.Sub(r, b, r)
-			nrm := vecmath.Nrm2(r)
-			opt.Metrics.pushResidual(nrm)
-			if nrm <= opt.Tolerance || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
-				atomic.StoreInt32(&stop, 1)
-				break
-			}
-		}
-		monitorDone <- FreeRunningResult{}
-	}()
-
 	wg.Wait()
-	atomic.StoreInt32(&stop, 1)
 	close(watcherDone)
-	<-monitorDone
 
-	xs := x.Snapshot()
 	res := FreeRunningResult{
-		X:            xs,
-		BlockUpdates: atomic.LoadInt64(&updates),
+		X:            x.Snapshot(),
+		BlockUpdates: f.updates.Load(),
 		Momentum:     rule.prev,
 	}
 	res.EquivalentGlobalIters = float64(res.BlockUpdates) / float64(nb)
-	res.Residual = residual(a, b, xs)
+	res.Residual = residual(a, b, res.X)
 	if math.IsNaN(res.Residual) || math.IsInf(res.Residual, 0) {
 		return res, fmt.Errorf("%w after %d block updates", ErrDiverged, res.BlockUpdates)
 	}
 	res.Converged = res.Residual <= opt.Tolerance
-	if !res.Converged && atomic.LoadInt32(&canceled) != 0 {
+	if !res.Converged && f.canceled.Load() {
 		return res, fmt.Errorf("%w after %d block updates: %w", ErrCanceled, res.BlockUpdates, opt.Ctx.Err())
 	}
 	return res, nil
+}
+
+// maxLead is how many sweep rounds a free-running worker may run ahead of
+// the slowest running worker. Without a bound, on a loaded host one worker
+// can spend the whole update budget while the others sit in the run queue
+// of a descheduled processor; a worker that reaches the bound blocks, so
+// an idle processor picks up the lagging one.
+const maxLead = 2
+
+// freeRun is the coordination state of one live free-running solve.
+type freeRun struct {
+	mu      sync.Mutex
+	cond    *sync.Cond // signals round completions, exits and the stop
+	rounds  []int      // completed rounds per worker; math.MaxInt once exited
+	stopped bool       // the stop, under mu
+
+	stop     atomic.Bool // the stop, for the block-boundary checks
+	canceled atomic.Bool
+	updates  atomic.Int64
+	// quiesce is held shared across each block execution and exclusively
+	// by a convergence check confirming on the quiesced iterate.
+	quiesce sync.RWMutex
+	monitor sync.Mutex // one convergence check at a time
+}
+
+// await blocks worker w while it is maxLead rounds ahead of the slowest
+// running worker; it reports false once the run is stopped.
+func (f *freeRun) await(w int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for !f.stopped && f.rounds[w]-slices.Min(f.rounds) >= maxLead {
+		f.cond.Wait()
+	}
+	return !f.stopped
+}
+
+func (f *freeRun) endRound(w int) { f.update(func() { f.rounds[w]++ }) }
+
+func (f *freeRun) exit(w int) { f.update(func() { f.rounds[w] = math.MaxInt }) }
+
+func (f *freeRun) halt() {
+	f.update(func() {
+		f.stopped = true
+		f.stop.Store(true)
+	})
+}
+
+// update applies change under the lock and wakes the waiting workers.
+func (f *freeRun) update(change func()) {
+	f.mu.Lock()
+	change()
+	f.mu.Unlock()
+	f.cond.Broadcast()
 }
 
 // replayFreeRunning re-executes a captured schedule with the capture's
