@@ -14,20 +14,11 @@ type BatchOptions struct {
 	// around per-system solves, which the batch-equivalence conformance
 	// test pins down bitwise.
 	Workers int
-	// ShardsPerSystem is the ShardOptions.Shards each system's solve runs
-	// with. Default 1: each system executes the sharded substrate's
-	// sequential one-shard path, which is deterministic for a fixed seed
-	// and bit-identical to the goroutine engine at Workers=1. Values > 1
-	// spend intra-system parallelism on top of the cross-system Workers.
-	ShardsPerSystem int
 }
 
 func (bo BatchOptions) withDefaults() BatchOptions {
 	if bo.Workers == 0 {
 		bo.Workers = 1
-	}
-	if bo.ShardsPerSystem == 0 {
-		bo.ShardsPerSystem = 1
 	}
 	return bo
 }
@@ -84,8 +75,10 @@ func BatchSeed(base int64, j int) int64 {
 // batched kernels (thousands of tiny independent subdomain problems
 // resident at once), applied across requests instead of within one.
 //
-// Each system j runs through the sharded executor (SolveSharded) with its
-// own derived seed BatchSeed(seed, j); systems are distributed over
+// Each system j runs on the sharded executor's sequential one-shard path
+// (SolveSharded; deterministic for a fixed seed and bit-identical to the
+// goroutine engine at Workers=1) with its own derived seed
+// BatchSeed(seed, j); systems are distributed over
 // BatchOptions.Workers. Convergence is tracked per system and failures are
 // per-system too: one diverging RHS marks its SystemResult.Err and the
 // rest of the batch completes normally. The batch-level error is reserved
@@ -140,10 +133,7 @@ func SolveBatch(p *Plan, rhs [][]float64, opt Options, bo BatchOptions) (BatchRe
 		}
 		optj := opt
 		optj.Seed = BatchSeed(base, j)
-		r, err := SolveSharded(p, rhs[j], optj, ShardOptions{
-			Shards:     bo.ShardsPerSystem,
-			Sequential: bo.ShardsPerSystem == 1,
-		})
+		r, err := SolveSharded(p, rhs[j], optj, ShardOptions{Shards: 1, Sequential: true})
 		if r.X != nil {
 			copy(sr.X, r.X)
 		}

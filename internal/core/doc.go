@@ -11,7 +11,20 @@
 // exactly once (in chaotic order), so every component is updated k times
 // per global iteration.
 //
-// Three execution engines are provided:
+// Every engine with global iterations runs the same loop, runBarrier
+// (substrate.go), and differs only in the (scheduler, executor) pair it
+// hands that loop. The scheduler (BlockScheduler) decides which blocks run
+// in what order and what they read (IterateView); the executor decides
+// where they run:
+//
+//	engine                      scheduler                      executor
+//	EngineSimulated             wave: snapshots, race coins    inline
+//	EngineGoroutine             chaotic: live reads            pool
+//	SolveSharded                chaotic: shard views           shards
+//	SolveSharded, Sequential    chaotic: shard views           inline
+//	Options.Replay              replay: a capture's epochs     inline
+//
+// The engines:
 //
 //   - EngineSimulated: a deterministic, seeded reproduction of the GPU's
 //     chaotic block scheduling (gpusim.Scheduler). Blocks execute
@@ -26,6 +39,15 @@
 //     read/write the shared iterate through per-component atomics with no
 //     further synchronization. Interleavings — and therefore results —
 //     genuinely vary between runs, like the paper's 1000-run study (§4.1).
+//
+//   - SolveSharded: the substrate of the multi-device and cluster
+//     executors — one goroutine per shard, off-shard reads through a
+//     ShardViewProvider (or, Sequential, the shards' blocks in one
+//     dispatch order on the solve's goroutine).
+//
+//   - Replays (Options.Replay) re-execute a captured schedule one recorded
+//     epoch per global iteration: the simulated engine through the
+//     capture's own views, the goroutine engine against the live iterate.
 //
 //   - EngineFreeRunning: an extension with no global barrier, only a
 //     bounded lead between workers; see SolveFreeRunning.

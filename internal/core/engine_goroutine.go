@@ -1,32 +1,10 @@
 package core
 
 import (
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sched"
 )
-
-// atomicFloat accumulates float64 contributions from concurrent workers
-// (the per-iteration block-update norm). The summation order is whatever
-// the interleaving produces — acceptable for the incremental residual
-// estimate, which only gates when an exact check runs.
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat) add(v float64) {
-	for {
-		old := f.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if f.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-func (f *atomicFloat) reset() { f.bits.Store(0) }
-
-func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // solveGoroutine runs the truly asynchronous engine: every global iteration
 // dispatches all blocks (in a seeded chaotic order) to a pool of workers —
@@ -41,206 +19,82 @@ func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()
 // it executes; the slot reservation in the recorder's ring is the commit
 // order, so the captured stream is a total order of the run's block
 // executions. With Options.Replay set, the engine replays such a capture
-// deterministically: the recorded events are dispatched through the same
-// worker pool one at a time, the barrier after each dispatch being the
-// injected yield point that serializes the execution — every block then
-// reads exactly what the recorded predecessors wrote, so any two replays
-// of one schedule are bit-identical.
+// deterministically on the inline executor: one recorded event at a time
+// against the live iterate, so every block reads exactly what the recorded
+// predecessors wrote and any two replays of one schedule are bit-identical.
 func solveGoroutine(p *Plan, b []float64, opt Options) (Result, error) {
-	a, sp, part, views := p.a, p.sp, p.part, p.views
-
-	n := a.Rows
-	start := make([]float64, n)
-	if opt.InitialGuess != nil {
-		copy(start, opt.InitialGuess)
-	}
-	roundIterate(opt.Precision, start)
-	x := NewAtomicVector(start)
-	writer := iterateWriter(opt.Precision, valueWriter(x))
-	nb := part.NumBlocks()
-	res := Result{NumBlocks: nb}
-
-	omega := opt.Omega
-	beta := opt.Beta
-	factors := p.factors
-	workers := opt.Workers
-	if workers > nb {
-		workers = nb
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Replay: group the captured events into global iterations up front.
-	var replayEpochs [][]sched.Event
+	nb := p.NumBlocks()
+	workers := max(min(opt.Workers, nb), 1)
 	if opt.Replay != nil {
-		s := opt.Replay
-		if err := s.Validate(nb); err != nil {
-			return Result{}, err
-		}
-		if s.Meta.Engine == "freerunning" {
-			// A free-running capture has no global iterations to group by;
-			// replay it through ReplayFreeRunning or the simulated engine.
-			return Result{}, errReplayEngine(s.Meta.Engine, "goroutine")
-		}
-		if err := checkReplaySweeps(s, p); err != nil {
-			return Result{}, err
-		}
-		if s.Meta.Omega != 0 {
-			omega = s.Meta.Omega
-		}
-		beta = replayBeta(s.Meta, opt.Beta)
-		for i := 0; i < len(s.Events); {
-			epoch := s.Events[i].Epoch
-			j := i
-			for j < len(s.Events) && s.Events[j].Epoch == epoch {
-				j++
-			}
-			replayEpochs = append(replayEpochs, s.Events[i:j])
-			i = j
-		}
+		return solveReplay(p, b, opt, "goroutine", workers)
 	}
+	r := newBarrier(p, b, opt, "goroutine", true)
+	defer r.done()
 	if opt.Record != nil {
 		opt.Record.SetMeta(barrierMeta("goroutine", nb, workers, opt))
 	}
+	r.sched = newChaoticScheduler(opt, r.em, nb, r.is)
+	pool := startBlockPool(r, workers)
+	defer pool.stop()
+	return runBarrier(r, pool.iterate)
+}
 
-	em := opt.Metrics.engine("goroutine")
-	kern := p.kernelFor(opt.referenceKernel)
-	rule := newUpdateRule(opt.Method, omega, beta, opt.Precision, start, opt.MomentumGuess)
-	var iterDelta atomicFloat // Σ‖Δx_J‖₂² of the current global iteration
-	// Persistent worker pool fed one global iteration at a time. In replay
-	// mode the same pool is fed one *event* at a time.
-	type task struct {
-		iter, block, sweeps int
-	}
-	work := make(chan task)
-	var wg sync.WaitGroup
-	var poolWG sync.WaitGroup
+// blockPool is the pool executor: persistent workers fed one block at a
+// time from the running iteration's dispatch list; the WaitGroup is the
+// end-of-iteration barrier.
+type blockPool struct {
+	r *barrier
+	// iter and evs are written before the first send of an iteration and
+	// read by the workers after their receive (the send orders them).
+	iter int
+	evs  []sched.Event
+	work chan int // indices into evs
+	wg   sync.WaitGroup
+	done sync.WaitGroup
+}
+
+func startBlockPool(r *barrier, workers int) *blockPool {
+	pl := &blockPool{r: r, work: make(chan int)}
+	pl.done.Add(workers)
 	for w := 0; w < workers; w++ {
-		poolWG.Add(1)
-		go func(w int) {
-			defer poolWG.Done()
-			scr := p.getKernelScratch()
-			defer p.putKernelScratch(scr)
-			for t := range work {
-				if opt.Ctx != nil && opt.Ctx.Err() != nil {
-					// Cancellation inside the sweep: drain without computing
-					// so a chaos Delay or a large kernel cannot stretch the
-					// cancellation latency past the in-flight block.
-					wg.Done()
-					continue
+		go func() {
+			defer pl.done.Done()
+			scr := r.p.getKernelScratch()
+			defer r.p.putKernelScratch(scr)
+			for i := range pl.work {
+				// Once canceled, drain without computing, so a chaos Delay or a
+				// large kernel cannot stretch the cancellation latency past the
+				// in-flight block. An exact local solve only fails on a
+				// dimension mismatch, which the plan's construction rules out.
+				if !r.canceled() {
+					_ = r.exec(pl.iter, &pl.evs[i], w, nil, scr)
 				}
-				if opt.Replay == nil {
-					opt.Chaos.delay(em, t.iter, t.block)
-				}
-				if t.sweeps == 0 {
-					// A singular block would have failed at factorization;
-					// Solve only errors on dimension mismatch, which the
-					// construction rules out.
-					_ = runBlockExact(a, b, &views[t.block], factors.lu[t.block], x, writer, scr)
-				} else {
-					iterDelta.add(kern(a, sp, b, &views[t.block], t.sweeps, rule, x, x, writer, scr))
-				}
-				em.addBlockSweep()
-				if opt.Replay != nil {
-					em.addReplayEvent()
-				}
-				if opt.Record != nil {
-					opt.Record.Append(sched.Event{
-						Epoch: int32(t.iter), Block: int32(t.block),
-						Sweeps: int32(t.sweeps), Worker: int16(w),
-					})
-				}
-				wg.Done()
+				pl.wg.Done()
 			}
-		}(w)
+		}()
 	}
-	defer func() {
-		close(work)
-		poolWG.Wait()
-	}()
+	return pl
+}
 
-	sweeps := opt.LocalIters
-	if opt.ExactLocal {
-		sweeps = 0
-	}
-	maxIters := opt.MaxGlobalIters
-	if opt.Replay != nil {
-		maxIters = len(replayEpochs)
-	}
-	if opt.RecordHistory {
-		res.History = make([]float64, 0, maxIters)
-	}
-	is := p.getIterScratch()
-	defer p.putIterScratch(is)
-	cs := newChaoticScheduler(opt, em, nb, is.order)
-	rs := newResidualState(opt, p.factors != nil, is.resid)
-	xHost := make([]float64, n)
-	for iter := 1; iter <= maxIters; iter++ {
-		if err := ctxErr(opt.Ctx, iter-1); err != nil {
-			x.CopyInto(xHost)
-			res.X = xHost
-			return res, err
-		}
-		iterDelta.reset()
-		if opt.Replay != nil {
-			for _, e := range replayEpochs[iter-1] {
-				if err := ctxErr(opt.Ctx, iter-1); err != nil {
-					x.CopyInto(xHost)
-					res.X = xHost
-					return res, err
-				}
-				wg.Add(1)
-				work <- task{iter: iter, block: int(e.Block), sweeps: int(e.Sweeps)}
-				wg.Wait() // yield point: serialize the recorded order
-			}
-		} else {
-			order := cs.BeginIteration(iter)
-			for _, bi := range order {
-				// Per-block cancellation check: stop dispatching as soon as
-				// the context is done, so at most the in-flight blocks (≤
-				// workers) run to completion instead of the whole sweep.
-				if opt.Ctx != nil && opt.Ctx.Err() != nil {
-					break
-				}
-				if opt.SkipBlock != nil && opt.SkipBlock(iter, bi) {
-					continue
-				}
-				wg.Add(1)
-				work <- task{iter: iter, block: bi, sweeps: sweeps}
-			}
-			wg.Wait() // end-of-global-iteration barrier
-			if err := ctxErr(opt.Ctx, iter-1); err != nil {
-				x.CopyInto(xHost)
-				res.X = xHost
-				return res, err
-			}
-		}
-		em.addIteration()
-
-		if opt.AfterIteration != nil {
-			opt.AfterIteration(iter, iterateAccess(opt.Precision, atomicAccess{x}))
-		}
-		delta2 := iterDelta.load()
-		if rs.skip(iter, maxIters, delta2) {
-			res.GlobalIterations = iter
-			continue
-		}
-		x.CopyInto(xHost)
-		stop, err := checkResidual(a, b, xHost, opt, &res, iter, delta2, rs)
-		if err != nil {
-			res.X = xHost
-			return res, err
-		}
-		if stop {
+func (pl *blockPool) iterate(iter int, evs []sched.Event) error {
+	pl.iter, pl.evs = iter, evs
+	for i := range evs {
+		// Stop dispatching as soon as the context is done, so at most the
+		// in-flight blocks (≤ workers) run to completion.
+		if pl.r.canceled() {
 			break
 		}
+		if pl.r.skipBlock(iter, int(evs[i].Block)) {
+			continue
+		}
+		pl.wg.Add(1)
+		pl.work <- i
 	}
-	x.CopyInto(xHost)
-	res.X = xHost
-	res.Momentum = rule.prev
-	if !opt.RecordHistory && opt.Tolerance == 0 {
-		res.Residual = residualInto(is.resid, a, b, xHost)
-	}
-	return res, nil
+	pl.wg.Wait()
+	return nil
+}
+
+func (pl *blockPool) stop() {
+	close(pl.work)
+	pl.done.Wait()
 }

@@ -14,165 +14,99 @@ import (
 // flips exactly.
 func raceSeed(seed int64) int64 { return seed ^ 0x5DEECE66D }
 
-// simMeta describes a simulated-engine capture. The simulated engine is a
-// single sequential executor, so it records Worker 0 / Workers 1 — a
-// free-running replay of such a schedule degenerates to one worker
-// executing the events in order, which is exactly the recorded semantics.
-func simMeta(opt Options, nb int) sched.Meta {
-	return barrierMeta("simulated", nb, 1, opt)
-}
-
-// simEvent encodes one simulated-engine block execution.
-func simEvent(iter, block int, opt Options, stale bool) sched.Event {
-	e := sched.Event{Epoch: int32(iter), Block: int32(block), Sweeps: int32(opt.LocalIters)}
-	if opt.ExactLocal {
-		e.Sweeps = 0
-	}
-	if stale {
-		e.Shift = 1
-	}
-	return e
-}
-
-// replaySimulated drives the simulated engine along a captured schedule.
+// solveReplay drives a barrier engine along a captured schedule: the replay
+// scheduler on the inline executor, one global iteration per recorded epoch.
 //
-// For schedules captured by the barrier engines (simulated, goroutine) the
-// events group into global iterations by their Epoch field; a
-// simulated-engine capture additionally restores the stale masks and the
-// race-RNG stream, so the replay is bit-identical to the original run
-// (same x, same residual history).
-//
-// A free-running capture has no global iterations — its epochs are
-// worker-local sweep rounds — so the events replay as one flat sequence
-// against the live iterate (each block reads everything its predecessors
-// wrote: the sequential canonical execution of that schedule), with
-// pseudo-iterations of numBlocks events for residual bookkeeping.
-func replaySimulated(p *Plan, b []float64, opt Options) (Result, error) {
-	a, sp, part, views := p.a, p.sp, p.part, p.views
+// The simulated engine reads through the capture's own views: a
+// simulated-engine capture restores its stale masks and race-RNG stream,
+// so the replay is bit-identical to the original run (same x, same
+// residual history). A free-running capture has no global iterations — its
+// epochs are worker-local sweep rounds — so its events replay as flat
+// chunks of numBlocks events against the live iterate: each block reads
+// everything its predecessors wrote, the sequential canonical execution of
+// that schedule. The goroutine engine replays barrier captures against the
+// live shared iterate, one event at a time, and rejects free-running ones.
+func solveReplay(p *Plan, b []float64, opt Options, engine string, workers int) (Result, error) {
 	s := opt.Replay
-	nb := part.NumBlocks()
+	nb := p.NumBlocks()
 	if err := s.Validate(nb); err != nil {
 		return Result{}, err
 	}
-	flat := s.Meta.Engine == "freerunning"
+	sim, flat := engine == "simulated", s.Meta.Engine == "freerunning"
+	if flat && !sim {
+		return Result{}, errReplayEngine(s.Meta.Engine, engine)
+	}
 	if err := checkReplaySweeps(s, p); err != nil {
 		return Result{}, err
 	}
-	omega := s.Meta.Omega
-	if omega == 0 {
-		omega = opt.Omega
-	}
-	beta := replayBeta(s.Meta, opt.Beta)
-
-	n := a.Rows
-	x := make([]float64, n)
-	if opt.InitialGuess != nil {
-		copy(x, opt.InitialGuess)
-	}
-	roundIterate(opt.Precision, x)
-	is := p.getIterScratch()
-	defer p.putIterScratch(is)
-	iterSnap := is.snap
-	raceRNG := rand.New(rand.NewSource(raceSeed(s.Meta.Seed)))
-	mix := &mixReader{rng: raceRNG}
-	scr := p.getKernelScratch()
-	defer p.putKernelScratch(scr)
-	kern := p.kernelFor(opt.referenceKernel)
-	rule := newUpdateRule(opt.Method, omega, beta, opt.Precision, x, opt.MomentumGuess)
-	// Replays keep the exact per-iteration residual (ResidualEvery is a
-	// live-solve optimization; a replayed history must be bit-faithful).
-	rs := &residualState{scratch: is.resid}
-	factors := p.factors
-	res := Result{NumBlocks: nb}
-	em := opt.Metrics.engine("simulated")
-	var (
-		writer     valueWriter = iterateWriter(opt.Precision, sliceWriter(x))
-		liveReader valueReader = sliceReader(x)
-		snapReader valueReader = sliceReader(iterSnap)
-	)
 	if opt.Record != nil {
-		opt.Record.SetMeta(s.Meta)
+		meta := s.Meta
+		if !sim {
+			meta = barrierMeta(engine, nb, workers, opt)
+		}
+		opt.Record.SetMeta(meta)
 	}
+	if s.Meta.Omega != 0 {
+		opt.Omega = s.Meta.Omega
+	}
+	opt.Beta = replayBeta(s.Meta, opt.Beta)
+	if sim {
+		// A replayed simulated history must be bit-faithful, so it keeps
+		// the exact per-iteration residual (ResidualEvery is a live-solve
+		// optimization).
+		opt.ResidualEvery = 0
+	}
+	r := newBarrier(p, b, opt, engine, !sim)
+	defer r.done()
+	rs := &replayScheduler{em: r.em}
+	for ev := s.Events; len(ev) > 0; {
+		k := min(nb, len(ev))
+		if !flat {
+			for k = 1; k < len(ev) && ev[k].Epoch == ev[0].Epoch; k++ {
+			}
+		}
+		rs.epochs = append(rs.epochs, ev[:k])
+		ev = ev[k:]
+	}
+	if sim && !flat {
+		rs.x, rs.snap = r.x, r.is.snap
+		rs.mix = &mixReader{live: r.x, snap: r.is.snap, rng: rand.New(rand.NewSource(raceSeed(s.Meta.Seed)))}
+		rs.snapRead = sliceReader(r.is.snap)
+	}
+	r.sched, r.replay, r.maxIters = rs, true, len(rs.epochs)
+	return runBarrier(r, r.runInline)
+}
 
-	events := s.Events
-	iter := 0
-	for len(events) > 0 {
-		iter++
-		if err := ctxErr(opt.Ctx, iter-1); err != nil {
-			res.X = x
-			return res, err
-		}
-		// One replayed iteration: the recorded epoch's events, or a flat
-		// chunk of numBlocks events for free-running captures.
-		var chunk []sched.Event
-		if flat {
-			k := nb
-			if k > len(events) {
-				k = len(events)
-			}
-			chunk, events = events[:k], events[k:]
-		} else {
-			epoch := events[0].Epoch
-			k := 0
-			for k < len(events) && events[k].Epoch == epoch {
-				k++
-			}
-			chunk, events = events[:k], events[k:]
-		}
-		vecmath.Copy(iterSnap, x)
-		for _, e := range chunk {
-			// Per-event cancellation check, mirroring the live engine's
-			// per-block granularity.
-			if err := ctxErr(opt.Ctx, iter-1); err != nil {
-				res.X = x
-				return res, err
-			}
-			bi := int(e.Block)
-			var offRead valueReader
-			switch {
-			case flat:
-				// Sequential canonical semantics: read the live iterate.
-				offRead = liveReader
-			case e.Shift > 0:
-				em.addStaleRead()
-				offRead = snapReader
-			default:
-				mix.live, mix.snap = x, iterSnap
-				offRead = mix
-			}
-			if e.Sweeps == 0 {
-				if err := runBlockExact(a, b, &views[bi], factors.lu[bi], offRead, writer, scr); err != nil {
-					res.X = x
-					return res, err
-				}
-			} else {
-				kern(a, sp, b, &views[bi], int(e.Sweeps), rule, offRead, offRead, writer, scr)
-			}
-			em.addBlockSweep()
-			em.addReplayEvent()
-			if opt.Record != nil {
-				opt.Record.Append(e)
-			}
-		}
-		em.addIteration()
-		if opt.AfterIteration != nil {
-			opt.AfterIteration(iter, iterateAccess(opt.Precision, sliceAccess(x)))
-		}
-		stop, err := checkResidual(a, b, x, opt, &res, iter, 0, rs)
-		if err != nil {
-			res.X = x
-			return res, err
-		}
-		if stop {
-			break
-		}
+// replayScheduler is the BlockScheduler of a replay: the captured events
+// grouped into one dispatch list per global iteration. With x set (the
+// simulated engine replaying a barrier capture) each event reads as
+// recorded: the iteration-start snapshot when its Shift is set, the race
+// mixer reseeded from the capture otherwise; without x every event reads
+// the live iterate.
+type replayScheduler struct {
+	epochs   [][]sched.Event
+	em       *engineCounters
+	x, snap  []float64
+	mix      *mixReader
+	snapRead IterateView
+}
+
+func (s *replayScheduler) BeginIteration(iter int) []sched.Event {
+	if s.x != nil {
+		vecmath.Copy(s.snap, s.x)
 	}
-	res.X = x
-	res.Momentum = rule.prev
-	if !opt.RecordHistory && opt.Tolerance == 0 {
-		res.Residual = residualInto(is.resid, a, b, x)
+	return s.epochs[iter-1]
+}
+
+func (s *replayScheduler) View(iter int, e *sched.Event) IterateView {
+	switch {
+	case s.x == nil:
+		return nil
+	case e.Shift > 0:
+		s.em.addStaleRead()
+		return s.snapRead
 	}
-	return res, nil
+	return s.mix
 }
 
 // errReplayEngine reports a schedule handed to an engine that cannot

@@ -81,25 +81,14 @@ type ShardOptions struct {
 // the plan); Options.Replay is not supported — replay a sharded capture
 // through the simulated or goroutine engine.
 func SolveSharded(p *Plan, b []float64, opt Options, so ShardOptions) (Result, error) {
-	if opt.BlockSize == 0 {
-		opt.BlockSize = p.blockSize
-	}
-	if opt.BlockSize != p.blockSize {
-		return Result{}, fmt.Errorf("core: Options.BlockSize %d does not match plan block size %d",
-			opt.BlockSize, p.blockSize)
-	}
-	if opt.ExactLocal != p.exactLocal {
-		return Result{}, fmt.Errorf("core: Options.ExactLocal %v does not match plan (exact local %v)",
-			opt.ExactLocal, p.exactLocal)
-	}
-	opt = opt.withDefaults()
-	if err := opt.validate(p.a, b); err != nil {
+	opt, err := planOptions(p, b, opt)
+	if err != nil {
 		return Result{}, err
 	}
 	if opt.Replay != nil {
 		return Result{}, fmt.Errorf("core: the sharded executor does not replay schedules; replay a sharded capture through the simulated or goroutine engine")
 	}
-	nb := p.part.NumBlocks()
+	nb := p.NumBlocks()
 	if so.Shards <= 0 {
 		return Result{}, fmt.Errorf("core: ShardOptions.Shards must be positive, have %d", so.Shards)
 	}
@@ -112,7 +101,23 @@ func SolveSharded(p *Plan, b []float64, opt Options, so ShardOptions) (Result, e
 			opt.Metrics.observeSolve("sharded", time.Since(start))
 		}(time.Now())
 	}
-	return solveSharded(p, b, opt, so)
+	r := newBarrier(p, b, opt, "sharded", true)
+	defer r.done()
+	sh := newShardSet(p.part, so, r.ax)
+	if opt.Record != nil {
+		opt.Record.SetMeta(barrierMeta("sharded", nb, so.Shards, opt))
+	}
+	r.sched = newChaoticScheduler(opt, r.em, nb, r.is)
+	if so.Sequential {
+		// Sequential execution keeps the global dispatch order across shard
+		// boundaries — with live views exactly the goroutine engine's
+		// one-worker execution.
+		r.shards = sh
+		return runBarrier(r, r.runInline)
+	}
+	sp := startShardPool(r, sh)
+	defer sp.stop()
+	return runBarrier(r, sp.iterate)
 }
 
 // makeShards splits the plan's blocks into ns contiguous shards of
@@ -138,7 +143,8 @@ func makeShards(part sparse.BlockPartition, ns int) []Shard {
 
 // shardView composes a shard's read semantics: rows the shard owns read
 // live from the shared iterate, everything else through the provider's
-// off-shard view.
+// off-shard view. A block's own rows lie in its shard, so its local
+// starting values always read live.
 type shardView struct {
 	lo, hi int
 	live   *AtomicVector
@@ -152,240 +158,152 @@ func (v *shardView) Load(j int) float64 {
 	return v.off.Load(j)
 }
 
-func solveSharded(p *Plan, b []float64, opt Options, so ShardOptions) (Result, error) {
-	a, sp, part, views := p.a, p.sp, p.part, p.views
+// shardSet is the shard layout of a sharded solve and each shard's lane:
+// its state for the running iteration and the provider's view and
+// publication points.
+type shardSet struct {
+	so         ShardOptions
+	shards     []Shard
+	blockShard []int
+	lanes      []shardLane
+}
 
-	n := a.Rows
-	start := make([]float64, n)
-	if opt.InitialGuess != nil {
-		copy(start, opt.InitialGuess)
+// shardLane is one shard's state for the running iteration. order and skip
+// are written by the solve's goroutine before the shard runs (the channel
+// send orders the accesses); view and read belong to whichever goroutine
+// executes the shard.
+type shardLane struct {
+	order []sched.Event // the shard's blocks, in global dispatch order
+	skip  bool
+	view  shardView
+	read  IterateView
+}
+
+func newShardSet(part sparse.BlockPartition, so ShardOptions, x *AtomicVector) *shardSet {
+	sh := &shardSet{
+		so:         so,
+		shards:     makeShards(part, so.Shards),
+		blockShard: make([]int, part.NumBlocks()),
+		lanes:      make([]shardLane, so.Shards),
 	}
-	roundIterate(opt.Precision, start)
-	x := NewAtomicVector(start)
-	writer := iterateWriter(opt.Precision, valueWriter(x))
-	nb := part.NumBlocks()
-	ns := so.Shards
-	shards := makeShards(part, ns)
-	blockShard := make([]int, nb)
-	for _, sh := range shards {
-		for bi := sh.BlockLo; bi < sh.BlockHi; bi++ {
-			blockShard[bi] = sh.Index
+	for s, shd := range sh.shards {
+		for bi := shd.BlockLo; bi < shd.BlockHi; bi++ {
+			sh.blockShard[bi] = s
+		}
+		sh.lanes[s] = shardLane{
+			order: make([]sched.Event, 0, shd.BlockHi-shd.BlockLo),
+			view:  shardView{lo: shd.RowLo, hi: shd.RowHi, live: x},
 		}
 	}
-	res := Result{NumBlocks: nb}
-	em := opt.Metrics.engine("sharded")
 	if so.Provider != nil {
-		so.Provider.Bind(x, shards)
+		so.Provider.Bind(x, sh.shards)
 	}
-	if opt.Record != nil {
-		opt.Record.SetMeta(barrierMeta("sharded", nb, ns, opt))
-	}
+	return sh
+}
 
-	kern := p.kernelFor(opt.referenceKernel)
-	factors := p.factors
-	rule := newUpdateRule(opt.Method, opt.Omega, opt.Beta, opt.Precision, start, opt.MomentumGuess)
-	sweeps := opt.LocalIters
-	if opt.ExactLocal {
-		sweeps = 0
-	}
-
-	// Per-shard state. The order/skip/read fields are written by the main
-	// loop before dispatch and read by the shard's goroutine (the channel
-	// send orders the accesses); view.off is owned by whichever goroutine
-	// executes the shard.
-	type shardState struct {
-		order []int // this iteration's blocks, in global dispatch order
-		skip  bool
-		view  shardView
-		read  valueReader
-	}
-	states := make([]shardState, ns)
-	for s := range states {
-		states[s].order = make([]int, 0, shards[s].BlockHi-shards[s].BlockLo)
-		states[s].view = shardView{lo: shards[s].RowLo, hi: shards[s].RowHi, live: x}
-	}
-
-	var iterDelta atomicFloat // Σ‖Δx_J‖₂² of the current global iteration
-
-	// shardRead composes shard s's off-shard reader for iteration iter.
-	shardRead := func(s, iter int) valueReader {
-		if so.Provider == nil {
-			return x
-		}
-		v := so.Provider.View(s, iter)
-		if v == nil {
-			return x
-		}
-		st := &states[s]
-		st.view.off = v
-		return &st.view
-	}
-	// runBlock executes one block against the given off-shard reader; the
-	// body matches the goroutine engine's worker exactly (chaos delay,
-	// kernel or exact local solve, sweep counter, schedule event).
-	runBlock := func(iter, bi, worker int, offRead valueReader, scr *kernelScratch) {
-		opt.Chaos.delay(em, iter, bi)
-		if sweeps == 0 {
-			// A singular block would have failed at factorization; see the
-			// goroutine engine.
-			_ = runBlockExact(a, b, &views[bi], factors.lu[bi], offRead, writer, scr)
-		} else {
-			iterDelta.add(kern(a, sp, b, &views[bi], sweeps, rule, offRead, x, writer, scr))
-		}
-		em.addBlockSweep()
-		if opt.Record != nil {
-			opt.Record.Append(sched.Event{
-				Epoch: int32(iter), Block: int32(bi),
-				Sweeps: int32(sweeps), Worker: int16(worker),
-			})
+// begin starts iteration iter: it clears every lane and consults
+// SkipShard; with views set it also fetches each running shard's view up
+// front, as sequential execution needs before its first block.
+func (sh *shardSet) begin(iter int, views bool) {
+	for s := range sh.lanes {
+		l := &sh.lanes[s]
+		l.order = l.order[:0]
+		l.skip = sh.so.SkipShard != nil && sh.so.SkipShard(iter, s)
+		l.read = nil
+		if views && !l.skip {
+			l.read = sh.view(s, iter)
 		}
 	}
-	// runShard is one shard's whole iteration on its own goroutine.
-	runShard := func(s, iter int, scr *kernelScratch) {
-		st := &states[s]
-		if !st.skip {
-			offRead := shardRead(s, iter)
-			for _, bi := range st.order {
-				if opt.Ctx != nil && opt.Ctx.Err() != nil {
-					break
-				}
-				if opt.SkipBlock != nil && opt.SkipBlock(iter, bi) {
-					continue
-				}
-				runBlock(iter, bi, s, offRead, scr)
+}
+
+// view composes shard s's reader for iteration iter; nil selects live
+// reads throughout.
+func (sh *shardSet) view(s, iter int) IterateView {
+	if sh.so.Provider == nil {
+		return nil
+	}
+	v := sh.so.Provider.View(s, iter)
+	if v == nil {
+		return nil
+	}
+	l := &sh.lanes[s]
+	l.view.off = v
+	return &l.view
+}
+
+func (sh *shardSet) publish(s, iter int) {
+	if sh.so.Provider != nil {
+		sh.so.Provider.Publish(s, iter)
+	}
+}
+
+// shardPool is the shards executor: one persistent goroutine per shard
+// runs the shard's blocks of each iteration in global dispatch order
+// through its lane's view, then publishes; the WaitGroup is the
+// end-of-iteration barrier.
+type shardPool struct {
+	r    *barrier
+	sh   *shardSet
+	work []chan int
+	wg   sync.WaitGroup
+	done sync.WaitGroup
+}
+
+func startShardPool(r *barrier, sh *shardSet) *shardPool {
+	sp := &shardPool{r: r, sh: sh, work: make([]chan int, len(sh.lanes))}
+	sp.done.Add(len(sp.work))
+	for s := range sp.work {
+		sp.work[s] = make(chan int)
+		go func() {
+			defer sp.done.Done()
+			scr := r.p.getKernelScratch()
+			defer r.p.putKernelScratch(scr)
+			for iter := range sp.work[s] {
+				sp.runShard(s, iter, scr)
+				sp.wg.Done()
 			}
-		}
-		if so.Provider != nil {
-			so.Provider.Publish(s, iter)
-		}
-	}
-
-	// Persistent per-shard goroutines, fed one global iteration at a time;
-	// the WaitGroup is the end-of-iteration barrier.
-	var (
-		work   []chan int
-		wg     sync.WaitGroup
-		poolWG sync.WaitGroup
-	)
-	if !so.Sequential {
-		work = make([]chan int, ns)
-		for s := 0; s < ns; s++ {
-			work[s] = make(chan int)
-			poolWG.Add(1)
-			go func(s int) {
-				defer poolWG.Done()
-				scr := p.getKernelScratch()
-				defer p.putKernelScratch(scr)
-				for iter := range work[s] {
-					runShard(s, iter, scr)
-					wg.Done()
-				}
-			}(s)
-		}
-		defer func() {
-			for _, c := range work {
-				close(c)
-			}
-			poolWG.Wait()
 		}()
 	}
+	return sp
+}
 
-	maxIters := opt.MaxGlobalIters
-	if opt.RecordHistory {
-		res.History = make([]float64, 0, maxIters)
+func (sp *shardPool) iterate(iter int, evs []sched.Event) error {
+	sh := sp.sh
+	sh.begin(iter, false)
+	for _, e := range evs {
+		l := &sh.lanes[sh.blockShard[e.Block]]
+		l.order = append(l.order, e)
 	}
-	is := p.getIterScratch()
-	defer p.putIterScratch(is)
-	cs := newChaoticScheduler(opt, em, nb, is.order)
-	rs := newResidualState(opt, p.factors != nil, is.resid)
-	var seqScr *kernelScratch
-	if so.Sequential {
-		seqScr = p.getKernelScratch()
-		defer p.putKernelScratch(seqScr)
+	sp.wg.Add(len(sp.work))
+	for _, c := range sp.work {
+		c <- iter
 	}
-	xHost := make([]float64, n)
-	for iter := 1; iter <= maxIters; iter++ {
-		if err := ctxErr(opt.Ctx, iter-1); err != nil {
-			x.CopyInto(xHost)
-			res.X = xHost
-			return res, err
-		}
-		iterDelta.reset()
-		order := cs.BeginIteration(iter)
-		for s := range states {
-			states[s].order = states[s].order[:0]
-			states[s].skip = so.SkipShard != nil && so.SkipShard(iter, s)
-		}
-		if so.Sequential {
-			// Sequential mode keeps the global dispatch order across shard
-			// boundaries — with live views this is exactly the goroutine
-			// engine's one-worker execution.
-			for s := range states {
-				st := &states[s]
-				st.read = nil
-				if !st.skip {
-					st.read = shardRead(s, iter)
-				}
-			}
-			for _, bi := range order {
-				s := blockShard[bi]
-				if states[s].skip {
-					continue
-				}
-				if opt.Ctx != nil && opt.Ctx.Err() != nil {
-					break
-				}
-				if opt.SkipBlock != nil && opt.SkipBlock(iter, bi) {
-					continue
-				}
-				runBlock(iter, bi, s, states[s].read, seqScr)
-			}
-			if so.Provider != nil {
-				for s := 0; s < ns; s++ {
-					so.Provider.Publish(s, iter)
-				}
-			}
-		} else {
-			for _, bi := range order {
-				s := blockShard[bi]
-				states[s].order = append(states[s].order, bi)
-			}
-			for s := 0; s < ns; s++ {
-				wg.Add(1)
-				work[s] <- iter
-			}
-			wg.Wait() // end-of-global-iteration barrier
-		}
-		if err := ctxErr(opt.Ctx, iter-1); err != nil {
-			x.CopyInto(xHost)
-			res.X = xHost
-			return res, err
-		}
-		em.addIteration()
+	sp.wg.Wait()
+	return nil
+}
 
-		if opt.AfterIteration != nil {
-			opt.AfterIteration(iter, iterateAccess(opt.Precision, atomicAccess{x}))
-		}
-		delta2 := iterDelta.load()
-		if rs.skip(iter, maxIters, delta2) {
-			res.GlobalIterations = iter
-			continue
-		}
-		x.CopyInto(xHost)
-		stop, err := checkResidual(a, b, xHost, opt, &res, iter, delta2, rs)
-		if err != nil {
-			res.X = xHost
-			return res, err
-		}
-		if stop {
-			break
+// runShard is one shard's iteration on its own goroutine.
+func (sp *shardPool) runShard(s, iter int, scr *kernelScratch) {
+	r, l := sp.r, &sp.sh.lanes[s]
+	if !l.skip {
+		read := sp.sh.view(s, iter)
+		for i := range l.order {
+			if r.canceled() {
+				break
+			}
+			if r.skipBlock(iter, int(l.order[i].Block)) {
+				continue
+			}
+			// Exact local solves cannot fail here; see startBlockPool.
+			_ = r.exec(iter, &l.order[i], s, read, scr)
 		}
 	}
-	x.CopyInto(xHost)
-	res.X = xHost
-	res.Momentum = rule.prev
-	if !opt.RecordHistory && opt.Tolerance == 0 {
-		res.Residual = residualInto(is.resid, a, b, xHost)
+	sp.sh.publish(s, iter)
+}
+
+func (sp *shardPool) stop() {
+	for _, c := range sp.work {
+		close(c)
 	}
-	return res, nil
+	sp.done.Wait()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 
+	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/vecmath"
 )
@@ -37,120 +38,71 @@ const freshProb = 0.2
 // Everything is driven by opt.Seed, so runs are exactly reproducible.
 func solveSimulated(p *Plan, b []float64, opt Options) (Result, error) {
 	if opt.Replay != nil {
-		return replaySimulated(p, b, opt)
+		return solveReplay(p, b, opt, "simulated", 1)
 	}
-	a, sp, part, views := p.a, p.sp, p.part, p.views
-
-	n := a.Rows
-	x := make([]float64, n)
-	if opt.InitialGuess != nil {
-		copy(x, opt.InitialGuess)
-	}
-	roundIterate(opt.Precision, x)
-	is := p.getIterScratch()
-	defer p.putIterScratch(is)
-	nb := part.NumBlocks()
+	nb := p.NumBlocks()
+	r := newBarrier(p, b, opt, "simulated", false)
+	defer r.done()
 	if opt.Record != nil {
-		opt.Record.SetMeta(simMeta(opt, nb))
+		// A single sequential executor records Worker 0 / Workers 1: a
+		// free-running replay of the capture degenerates to one worker
+		// executing the events in order, exactly the recorded semantics.
+		opt.Record.SetMeta(barrierMeta("simulated", nb, 1, opt))
 	}
-
-	res := Result{NumBlocks: nb}
-	if opt.RecordHistory {
-		res.History = make([]float64, 0, opt.MaxGlobalIters)
-	}
-	var trace *Trace
 	if opt.RecordTrace {
-		trace = &Trace{UpdatesPerBlock: make([]int, nb), ShiftCounts: make(map[int]int64)}
-		res.Trace = trace
+		r.trace = &Trace{UpdatesPerBlock: make([]int, nb), ShiftCounts: make(map[int]int64)}
+		r.version = make([]int, nb)
 	}
-	// blockVersion[q] = index of the global iteration whose sweep last
-	// wrote block q (0 = initial values). Used for shift accounting.
-	blockVersion := make([]int, nb)
+	r.sched = newWaveScheduler(opt, r.em, nb, r.x, r.is)
+	return runBarrier(r, r.runInline)
+}
 
-	scr := p.getKernelScratch()
-	defer p.putKernelScratch(scr)
-	kern := p.kernelFor(opt.referenceKernel)
-	rule := newUpdateRule(opt.Method, opt.Omega, opt.Beta, opt.Precision, x, opt.MomentumGuess)
-	rs := newResidualState(opt, p.factors != nil, is.resid)
-	factors := p.factors
-	em := opt.Metrics.engine("simulated")
-	ws := newWaveScheduler(opt, em, nb, x, is)
-	// Interface conversion hoisted out of the block loop: boxing a slice
-	// into valueWriter allocates, and the loop is the hot path. Under f32
-	// storage the writer additionally rounds every published component.
-	writer := iterateWriter(opt.Precision, sliceWriter(x))
+// waveScheduler is the BlockScheduler of the simulated engine: the chaotic
+// scheduler's seeded order, plus the modeled memory visibility of a GPU
+// kernel sweep — an iteration-start snapshot, a per-block stale mask, and
+// a per-component race mixer (see solveSimulated for the calibration
+// story). The chaos StaleRead hook folds into the mask; the pseudo-random
+// draw sequence (order, then mask, then per-read coins) is part of the
+// engine's reproducibility contract and must not be reordered.
+type waveScheduler struct {
+	*chaoticScheduler
+	staleProb float64
+	x, snap   []float64
+	stale     []bool
+	mix       *mixReader
+	snapRead  IterateView
+}
 
-	for iter := 1; iter <= opt.MaxGlobalIters; iter++ {
-		if err := ctxErr(opt.Ctx, iter-1); err != nil {
-			res.X = x
-			return res, err
-		}
-		order := ws.BeginIteration(iter)
-		var delta2 float64
-		for _, bi := range order {
-			// Per-block cancellation check: a global iteration over many
-			// blocks (Trefethen_2000 at small block sizes has hundreds) can
-			// take arbitrarily long, so waiting for the iteration boundary
-			// would make cancellation latency O(n/blockSize) sweeps.
-			if err := ctxErr(opt.Ctx, iter-1); err != nil {
-				res.X = x
-				return res, err
-			}
-			if opt.SkipBlock != nil && opt.SkipBlock(iter, bi) {
-				if trace != nil {
-					trace.SkippedUpdates++
-				}
-				continue
-			}
-			offRead := ws.View(iter, bi)
-			opt.Chaos.delay(em, iter, bi)
-			if trace != nil {
-				offRead = &countingReader{inner: offRead, trace: trace, stale: ws.stale[bi],
-					iter: iter, blockVersion: blockVersion, part: part}
-			}
-			if factors != nil {
-				if err := runBlockExact(a, b, &views[bi], factors.lu[bi], offRead, writer, scr); err != nil {
-					res.X = x
-					return res, err
-				}
-			} else {
-				delta2 += kern(a, sp, b, &views[bi], opt.LocalIters, rule, offRead, offRead, writer, scr)
-			}
-			blockVersion[bi] = iter
-			em.addBlockSweep()
-			if opt.Record != nil {
-				opt.Record.Append(simEvent(iter, bi, opt, ws.stale[bi]))
-			}
-			if trace != nil {
-				trace.UpdatesPerBlock[bi]++
-			}
-		}
-		em.addIteration()
-		if trace != nil {
-			trace.GlobalIterations = iter
-		}
-		if opt.AfterIteration != nil {
-			opt.AfterIteration(iter, iterateAccess(opt.Precision, sliceAccess(x)))
-		}
-		if rs.skip(iter, opt.MaxGlobalIters, delta2) {
-			res.GlobalIterations = iter
-			continue
-		}
-		stop, err := checkResidual(a, b, x, opt, &res, iter, delta2, rs)
-		if err != nil {
-			res.X = x
-			return res, err
-		}
-		if stop {
-			break
-		}
+func newWaveScheduler(opt Options, em *engineCounters, nb int, x []float64, is *iterScratch) *waveScheduler {
+	return &waveScheduler{
+		chaoticScheduler: newChaoticScheduler(opt, em, nb, is),
+		staleProb:        opt.StaleProb,
+		x:                x,
+		snap:             is.snap,
+		stale:            is.stale,
+		mix:              &mixReader{live: x, snap: is.snap, rng: rand.New(rand.NewSource(raceSeed(opt.Seed)))},
+		snapRead:         sliceReader(is.snap),
 	}
-	res.X = x
-	res.Momentum = rule.prev
-	if !opt.RecordHistory && opt.Tolerance == 0 {
-		res.Residual = residualInto(is.resid, a, b, x)
+}
+
+func (s *waveScheduler) BeginIteration(iter int) []sched.Event {
+	vecmath.Copy(s.snap, s.x)
+	evs := s.chaoticScheduler.BeginIteration(iter)
+	s.stale = s.g.StaleMaskInto(s.stale, s.nb, s.staleProb)
+	return evs
+}
+
+func (s *waveScheduler) View(iter int, e *sched.Event) IterateView {
+	bi := int(e.Block)
+	if s.chaos.staleRead(s.em, iter, bi) {
+		s.stale[bi] = true
 	}
-	return res, nil
+	if !s.stale[bi] {
+		return s.mix
+	}
+	s.em.addStaleRead()
+	e.Shift = 1
+	return s.snapRead
 }
 
 // mixReader yields, per component, the current sweep's value (live) with

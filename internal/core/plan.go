@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/certify"
+	"repro/internal/sched"
 	"repro/internal/sparse"
 )
 
@@ -48,14 +49,14 @@ type Plan struct {
 }
 
 // iterScratch is the per-solve working set of the barrier engines: the
-// schedule order and stale-mask buffers, the iteration-start snapshot, the
-// residual scratch vector and the goroutine engine's host-side copy.
+// schedule order, dispatch-list and stale-mask buffers, the
+// iteration-start snapshot and the residual scratch vector.
 type iterScratch struct {
-	order []int
-	stale []bool
-	snap  []float64
-	resid []float64
-	xhost []float64
+	order  []int
+	events []sched.Event
+	stale  []bool
+	snap   []float64
+	resid  []float64
 }
 
 func (p *Plan) getKernelScratch() *kernelScratch {
@@ -141,11 +142,11 @@ func NewPlanWithConfig(a *sparse.CSR, blockSize int, exactLocal bool, cfg PlanCo
 	p.kernelPool.New = func() any { return newKernelScratch(maxBlock) }
 	p.iterPool.New = func() any {
 		return &iterScratch{
-			order: make([]int, nb),
-			stale: make([]bool, nb),
-			snap:  make([]float64, rows),
-			resid: make([]float64, rows),
-			xhost: make([]float64, rows),
+			order:  make([]int, nb),
+			events: make([]sched.Event, 0, nb),
+			stale:  make([]bool, nb),
+			snap:   make([]float64, rows),
+			resid:  make([]float64, rows),
 		}
 	}
 	return p, nil
@@ -196,19 +197,8 @@ func (p *Plan) MemoryBytes() int64 {
 // taken from the plan); a non-zero value must match the plan, as must
 // opt.ExactLocal. See Solve for the one-shot entry point.
 func SolveWithPlan(p *Plan, b []float64, opt Options) (Result, error) {
-	if opt.BlockSize == 0 {
-		opt.BlockSize = p.blockSize
-	}
-	if opt.BlockSize != p.blockSize {
-		return Result{}, fmt.Errorf("core: Options.BlockSize %d does not match plan block size %d",
-			opt.BlockSize, p.blockSize)
-	}
-	if opt.ExactLocal != p.exactLocal {
-		return Result{}, fmt.Errorf("core: Options.ExactLocal %v does not match plan (exact local %v)",
-			opt.ExactLocal, p.exactLocal)
-	}
-	opt = opt.withDefaults()
-	if err := opt.validate(p.a, b); err != nil {
+	opt, err := planOptions(p, b, opt)
+	if err != nil {
 		return Result{}, err
 	}
 	var cert *certify.Certificate
@@ -239,6 +229,25 @@ func SolveWithPlan(p *Plan, b []float64, opt Options) (Result, error) {
 	}()
 	res.Certificate = cert
 	return res, err
+}
+
+// planOptions checks opt against the plan — a zero BlockSize is taken from
+// it, a non-zero one and ExactLocal must match — then fills the defaults
+// and validates.
+func planOptions(p *Plan, b []float64, opt Options) (Options, error) {
+	if opt.BlockSize == 0 {
+		opt.BlockSize = p.blockSize
+	}
+	if opt.BlockSize != p.blockSize {
+		return opt, fmt.Errorf("core: Options.BlockSize %d does not match plan block size %d",
+			opt.BlockSize, p.blockSize)
+	}
+	if opt.ExactLocal != p.exactLocal {
+		return opt, fmt.Errorf("core: Options.ExactLocal %v does not match plan (exact local %v)",
+			opt.ExactLocal, p.exactLocal)
+	}
+	opt = opt.withDefaults()
+	return opt, opt.validate(p.a, b)
 }
 
 // ctxErr reports a wrapped ErrCanceled when ctx is done; engines call it

@@ -2,23 +2,38 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
+	"sync/atomic"
 
 	"repro/internal/gpusim"
 	"repro/internal/sched"
 	"repro/internal/sparse"
-	"repro/internal/vecmath"
 )
 
-// This file is the shared execution substrate of the engines. Every engine
-// in the package is the same algorithm — sweep all blocks once per global
-// iteration, each block reading off-block components through some staleness
-// structure — so the parts that distinguish an engine are exactly two:
-// which block runs next (the scheduling half) and against which view of the
-// iterate (the read-semantics half). The substrate names the two halves
-// (BlockScheduler, IterateView), provides the schedulers the stock engines
-// are thin wrappers over, and centralizes the option validation and
-// schedule-metadata plumbing the engines used to copy.
+// This file is the shared execution substrate of the barrier engines. Each
+// of them is the same algorithm — per global iteration, run every block
+// once, k local sweeps against off-block values of some age — and
+// runBarrier is its one loop: the context checks, the dispatch list, the
+// end-of-iteration barrier, AfterIteration, the ResidualEvery gate, the
+// copy-out, the residual check with its history and the final residual.
+// An engine is a (scheduler, executor) pair handed to that loop:
+//
+//	engine                        scheduler                       executor
+//	EngineSimulated               wave: snapshots, race coins     inline
+//	EngineGoroutine               chaotic: live reads             pool
+//	SolveSharded                  chaotic: shard views            shards
+//	SolveSharded, Sequential      chaotic: shard views            inline
+//	Replay, EngineSimulated       replay: the capture's views     inline
+//	Replay, EngineGoroutine       replay: live reads              inline
+//
+// The scheduler (BlockScheduler) decides which blocks run, in what order,
+// and what each one reads (IterateView). The executor decides where they
+// run: in order on the solve's goroutine (inline), on a pool of workers
+// (pool, engine_goroutine.go), or on one goroutine per shard (shards,
+// engine_shard.go). The chaos hooks, SkipBlock, the record tap and the
+// metrics counters live in the substrate, not in the engines. The
+// free-running engine has no global iterations and stays separate
+// (engine_freerun.go).
 
 // IterateView is how a block execution observes components of the iterate:
 // the read-semantics half of the execution substrate. The simulated engine
@@ -34,109 +49,326 @@ type IterateView interface {
 }
 
 // BlockScheduler is the scheduling half of the execution substrate: per
-// global iteration it decides the block execution order, and per block the
-// IterateView its off-block reads go through. The stock engines are thin
-// loops over one scheduler each — the simulated engine over the seeded
-// wave scheduler (snapshots + race coins), the goroutine and sharded
-// engines over the chaotic scheduler (live atomic reads) — and the chaos
-// hooks, record/replay taps and metrics counters plug into the substrate
-// rather than into each engine separately.
+// global iteration it produces the dispatch list — which blocks run, in
+// which order, with how many local sweeps — and per dispatched block the
+// IterateView its reads go through. runBarrier drives one; the stock
+// schedulers are the chaotic (seeded order, live reads), wave (the
+// simulated engine's snapshots and race coins) and replay (a captured
+// schedule's epochs) schedulers.
 type BlockScheduler interface {
 	// BeginIteration starts global iteration iter (1-based) and returns
-	// the block dispatch order. The returned slice is valid until the next
-	// call.
-	BeginIteration(iter int) []int
-	// View returns the IterateView for one block's off-block reads; nil
-	// selects live reads from the shared iterate.
-	View(iter, block int) IterateView
+	// its dispatch list: one sched.Event per block execution, Sweeps 0
+	// meaning an exact local solve. The slice is valid until the next call.
+	BeginIteration(iter int) []sched.Event
+	// View returns the IterateView for one dispatched block's reads; nil
+	// selects the executor's reads (the live iterate, or a shard's view).
+	// It may annotate e: a read of the iteration-start snapshot sets
+	// e.Shift.
+	View(iter int, e *sched.Event) IterateView
 }
 
 // chaoticScheduler is the BlockScheduler of the concurrent engines: a
 // seeded chaotic dispatch order (gpusim.Scheduler), the chaos Reorder hook
-// applied to it, and live views (nil) — staleness is physical, produced by
-// the races of the executing workers.
+// applied to it, and nil views — staleness is physical, produced by the
+// races of the executing workers.
 type chaoticScheduler struct {
-	g     *gpusim.Scheduler
-	chaos *ChaosHooks
-	em    *engineCounters
-	nb    int
-	order []int
+	g          *gpusim.Scheduler
+	chaos      *ChaosHooks
+	em         *engineCounters
+	nb, sweeps int
+	order      []int
+	events     []sched.Event
 }
 
-// newChaoticScheduler builds the scheduler; order is the reusable dispatch
-// buffer (typically the plan's iterScratch.order).
-func newChaoticScheduler(opt Options, em *engineCounters, nb int, order []int) *chaoticScheduler {
+// newChaoticScheduler builds the scheduler over the pooled order and
+// dispatch buffers of is.
+func newChaoticScheduler(opt Options, em *engineCounters, nb int, is *iterScratch) *chaoticScheduler {
+	sweeps := opt.LocalIters
+	if opt.ExactLocal {
+		sweeps = 0
+	}
 	return &chaoticScheduler{
-		g:     gpusim.NewScheduler(opt.Seed, opt.Recurrence),
-		chaos: opt.Chaos,
-		em:    em,
-		nb:    nb,
-		order: order,
+		g:      gpusim.NewScheduler(opt.Seed, opt.Recurrence),
+		chaos:  opt.Chaos,
+		em:     em,
+		nb:     nb,
+		sweeps: sweeps,
+		order:  is.order,
+		events: is.events,
 	}
 }
 
-func (s *chaoticScheduler) BeginIteration(iter int) []int {
+func (s *chaoticScheduler) BeginIteration(iter int) []sched.Event {
 	s.order = s.g.OrderInto(s.order, s.nb)
 	s.chaos.reorder(s.em, iter, s.order)
-	return s.order
+	s.events = s.events[:0]
+	for _, bi := range s.order {
+		s.events = append(s.events, sched.Event{Epoch: int32(iter), Block: int32(bi), Sweeps: int32(s.sweeps)})
+	}
+	return s.events
 }
 
-func (s *chaoticScheduler) View(iter, block int) IterateView { return nil }
+func (s *chaoticScheduler) View(iter int, e *sched.Event) IterateView { return nil }
 
-// waveScheduler is the BlockScheduler of the simulated engine: the same
-// seeded chaotic order, plus the modeled memory visibility of a GPU kernel
-// sweep — an iteration-start snapshot, a per-block stale mask, and a
-// per-component race mixer (see solveSimulated for the calibration story).
-// The chaos StaleRead hook folds into the mask; the pseudo-random draw
-// sequence (order, then mask, then per-read coins) is part of the engine's
-// reproducibility contract and must not be reordered.
-type waveScheduler struct {
-	g         *gpusim.Scheduler
-	chaos     *ChaosHooks
-	em        *engineCounters
-	nb        int
-	staleProb float64
-	x, snap   []float64
-	order     []int
-	stale     []bool
-	mix       *mixReader
-	snapRead  IterateView
-}
+// atomicFloat accumulates float64 contributions from concurrent workers
+// (the per-iteration block-update norm). The summation order is whatever
+// the interleaving produces — acceptable for the incremental residual
+// estimate, which only gates when an exact check runs; under the inline
+// executor it is the dispatch order.
+type atomicFloat struct{ bits atomic.Uint64 }
 
-func newWaveScheduler(opt Options, em *engineCounters, nb int, x []float64, is *iterScratch) *waveScheduler {
-	return &waveScheduler{
-		g:         gpusim.NewScheduler(opt.Seed, opt.Recurrence),
-		chaos:     opt.Chaos,
-		em:        em,
-		nb:        nb,
-		staleProb: opt.StaleProb,
-		x:         x,
-		snap:      is.snap,
-		order:     is.order,
-		stale:     is.stale,
-		mix:       &mixReader{rng: rand.New(rand.NewSource(raceSeed(opt.Seed)))},
-		snapRead:  sliceReader(is.snap),
+func (f *atomicFloat) add(v float64) {
+	for {
+		old := f.bits.Load()
+		nw := math.Float64bits(math.Float64frombits(old) + v)
+		if f.bits.CompareAndSwap(old, nw) {
+			return
+		}
 	}
 }
 
-func (s *waveScheduler) BeginIteration(iter int) []int {
-	vecmath.Copy(s.snap, s.x)
-	s.order = s.g.OrderInto(s.order, s.nb)
-	s.stale = s.g.StaleMaskInto(s.stale, s.nb, s.staleProb)
-	s.chaos.reorder(s.em, iter, s.order)
-	return s.order
+func (f *atomicFloat) reset() { f.bits.Store(0) }
+
+func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
+
+// barrier is one barrier-engine solve in flight: the state runBarrier and
+// the executors share. The engine entry points differ only in how they
+// fill it.
+type barrier struct {
+	p        *Plan
+	b        []float64
+	opt      Options
+	sched    BlockScheduler
+	em       *engineCounters
+	kern     kernelFunc
+	rule     *updateRule
+	maxIters int
+	// replay marks a replayed schedule: SkipBlock and Chaos are not
+	// consulted (their effects are baked into the events), each block
+	// counts as a replay event and is recorded as captured.
+	replay bool
+
+	// x is the iterate itself under slice storage (the simulated engine
+	// and its replays), or the copy-out buffer of the shared atomic
+	// iterate ax.
+	x      []float64
+	ax     *AtomicVector
+	live   IterateView
+	writer valueWriter
+	access VectorAccess
+	delta  atomicFloat // Σ‖Δx_J‖₂² of the running global iteration
+
+	// shards puts the inline executor's blocks in their shard's lane (the
+	// sequential sharded executor); nil otherwise.
+	shards *shardSet
+	// trace collects the simulated engine's Chazan–Miranker statistics;
+	// version[q] is the global iteration whose sweep last wrote block q
+	// (0: the initial values).
+	trace   *Trace
+	version []int
+
+	is  *iterScratch
+	scr *kernelScratch // the inline executor's
 }
 
-func (s *waveScheduler) View(iter, block int) IterateView {
-	if s.chaos.staleRead(s.em, iter, block) {
-		s.stale[block] = true
+// newBarrier sets up one solve: the starting iterate (rounded for the
+// storage precision) in plain or shared atomic storage, the update rule,
+// the kernel and the pooled scratch, which done returns.
+func newBarrier(p *Plan, b []float64, opt Options, engine string, shared bool) *barrier {
+	x := make([]float64, p.a.Rows)
+	if opt.InitialGuess != nil {
+		copy(x, opt.InitialGuess)
 	}
-	if s.stale[block] {
-		s.em.addStaleRead()
-		return s.snapRead
+	roundIterate(opt.Precision, x)
+	r := &barrier{
+		p: p, b: b, opt: opt,
+		em:       opt.Metrics.engine(engine),
+		kern:     p.kernelFor(opt.referenceKernel),
+		rule:     newUpdateRule(opt.Method, opt.Omega, opt.Beta, opt.Precision, x, opt.MomentumGuess),
+		maxIters: opt.MaxGlobalIters,
+		x:        x,
+		is:       p.getIterScratch(),
+		scr:      p.getKernelScratch(),
 	}
-	s.mix.live, s.mix.snap = s.x, s.snap
-	return s.mix
+	// The interface conversions happen once here, not in the block loop:
+	// boxing a slice allocates.
+	if shared {
+		r.ax = NewAtomicVector(x)
+		r.live, r.writer, r.access = r.ax, r.ax, atomicAccess{r.ax}
+	} else {
+		r.live, r.writer, r.access = sliceReader(x), sliceWriter(x), sliceAccess(x)
+	}
+	// Under f32 storage every published component is rounded, the
+	// AfterIteration hook's writes included.
+	r.writer = iterateWriter(opt.Precision, r.writer)
+	r.access = iterateAccess(opt.Precision, r.access)
+	return r
+}
+
+func (r *barrier) done() {
+	r.p.putIterScratch(r.is)
+	r.p.putKernelScratch(r.scr)
+}
+
+// host returns the iterate as a plain slice, copying the shared atomic
+// iterate out first.
+func (r *barrier) host() []float64 {
+	if r.ax != nil {
+		r.ax.CopyInto(r.x)
+	}
+	return r.x
+}
+
+func (r *barrier) canceled() bool { return r.opt.Ctx != nil && r.opt.Ctx.Err() != nil }
+
+// skipBlock consults Options.SkipBlock (never during a replay).
+func (r *barrier) skipBlock(iter, block int) bool {
+	if r.replay || r.opt.SkipBlock == nil || !r.opt.SkipBlock(iter, block) {
+		return false
+	}
+	if r.trace != nil {
+		r.trace.SkippedUpdates++
+	}
+	return true
+}
+
+// runBarrier is the global-iteration loop of every barrier engine. iterate
+// is the executor: it runs one iteration's dispatch list and returns once
+// every block it started has finished — the end-of-iteration barrier — or
+// stops dispatching early when the context is done.
+func runBarrier(r *barrier, iterate func(iter int, evs []sched.Event) error) (Result, error) {
+	opt, a := r.opt, r.p.a
+	res := Result{NumBlocks: r.p.NumBlocks(), Trace: r.trace}
+	if opt.RecordHistory {
+		res.History = make([]float64, 0, r.maxIters)
+	}
+	rs := newResidualState(opt, r.p.factors != nil, r.is.resid)
+	for iter := 1; iter <= r.maxIters; iter++ {
+		err := ctxErr(opt.Ctx, iter-1)
+		if err == nil {
+			r.delta.reset()
+			err = iterate(iter, r.sched.BeginIteration(iter))
+		}
+		if err == nil {
+			err = ctxErr(opt.Ctx, iter-1)
+		}
+		if err != nil {
+			res.X = r.host()
+			return res, err
+		}
+		r.em.addIteration()
+		if r.trace != nil {
+			r.trace.GlobalIterations = iter
+		}
+		if opt.AfterIteration != nil {
+			opt.AfterIteration(iter, r.access)
+		}
+		delta2 := r.delta.load()
+		if rs.skip(iter, r.maxIters, delta2) {
+			res.GlobalIterations = iter
+			continue
+		}
+		stop, err := checkResidual(a, r.b, r.host(), opt, &res, iter, delta2, rs)
+		if err != nil {
+			res.X = r.x
+			return res, err
+		}
+		if stop {
+			break
+		}
+	}
+	res.X = r.host()
+	res.Momentum = r.rule.prev
+	if !opt.RecordHistory && opt.Tolerance == 0 {
+		res.Residual = residualInto(rs.scratch, a, r.b, res.X)
+	}
+	return res, nil
+}
+
+// runInline is the inline executor: the dispatch list runs in order on the
+// solve's goroutine. Under the sequential sharded executor each block runs
+// in its shard's lane: skipped with its shard, reading through the shard's
+// view, recorded under the shard's index.
+func (r *barrier) runInline(iter int, evs []sched.Event) error {
+	sh := r.shards
+	if sh != nil {
+		sh.begin(iter, true)
+	}
+	for i := range evs {
+		e := &evs[i]
+		worker, read := 0, IterateView(nil)
+		if sh != nil {
+			s := sh.blockShard[e.Block]
+			if sh.lanes[s].skip {
+				continue
+			}
+			worker, read = s, sh.lanes[s].read
+		}
+		// Per-block cancellation check: a global iteration over many blocks
+		// (Trefethen_2000 at small block sizes has hundreds) can take
+		// arbitrarily long, so waiting for the iteration boundary would make
+		// cancellation latency O(n/blockSize) sweeps.
+		if r.canceled() {
+			break
+		}
+		if r.skipBlock(iter, int(e.Block)) {
+			continue
+		}
+		if err := r.exec(iter, e, worker, read, r.scr); err != nil {
+			return err
+		}
+	}
+	if sh != nil {
+		for s := range sh.lanes {
+			sh.publish(s, iter)
+		}
+	}
+	return nil
+}
+
+// exec runs one dispatched block: the scheduler's view (else read, else
+// the live iterate), the chaos delay, the kernel or exact local solve, and
+// the taps — counters, the recorded event, the trace. It is called
+// concurrently by the pool and shard executors, whose solves carry no
+// trace.
+func (r *barrier) exec(iter int, e *sched.Event, worker int, read IterateView, scr *kernelScratch) error {
+	bi := int(e.Block)
+	if v := r.sched.View(iter, e); v != nil {
+		read = v
+	} else if read == nil {
+		read = r.live
+	}
+	if !r.replay {
+		r.opt.Chaos.delay(r.em, iter, bi)
+	}
+	if r.trace != nil {
+		read = &countingReader{inner: read, trace: r.trace, stale: e.Shift > 0,
+			iter: iter, blockVersion: r.version, part: r.p.part}
+	}
+	a, v := r.p.a, &r.p.views[bi]
+	if e.Sweeps == 0 {
+		if err := runBlockExact(a, r.b, v, r.p.factors.lu[bi], read, r.writer, scr); err != nil {
+			return err
+		}
+	} else {
+		r.delta.add(r.kern(a, r.p.sp, r.b, v, int(e.Sweeps), r.rule, read, read, r.writer, scr))
+	}
+	r.em.addBlockSweep()
+	if r.replay {
+		r.em.addReplayEvent()
+	}
+	if r.opt.Record != nil {
+		ev := *e
+		if !r.replay {
+			ev.Worker = int16(worker)
+		}
+		r.opt.Record.Append(ev)
+	}
+	if r.trace != nil {
+		r.version[bi] = iter
+		r.trace.UpdatesPerBlock[bi]++
+	}
+	return nil
 }
 
 // validateSystem checks the system shape every engine entry point requires:
