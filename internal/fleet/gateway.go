@@ -287,42 +287,59 @@ type submitView struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
-// handleSolve is the hot path: admission, routing, forwarding, rewrite.
-func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
-	// Admission first: when the gateway itself is saturated, shedding
-	// cheaply here protects the fleet (and the gateway's own memory).
+// acquire takes an in-flight slot for a submission, or sheds it with a
+// 429 when the gateway is saturated: admission comes first, so shedding
+// here is cheap and protects the fleet (and the gateway's own memory).
+// The caller releases a taken slot with g.inflight.Add(-1).
+func (g *Gateway) acquire(w http.ResponseWriter) bool {
 	if g.inflight.Add(1) > int64(g.cfg.MaxInflight) {
 		g.inflight.Add(-1)
 		g.shed.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusTooManyRequests, fmt.Errorf("fleet: gateway saturated (%d in flight)", g.cfg.MaxInflight))
-		return
+		return false
 	}
-	defer g.inflight.Add(-1)
+	return true
+}
 
+// route reads a submission body (solve, session create or batch), decodes
+// it into req and resolves the routing key from spec, req's embedded
+// SolverSpec, to the key's ring owners in failover order. On failure it
+// writes the error response and reports false.
+func (g *Gateway) route(w http.ResponseWriter, r *http.Request, req any, spec *service.SolverSpec) (body []byte, key string, owners []string, ok bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))
 	if err != nil {
 		g.badRequests.Inc()
 		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("fleet: reading request: %w", err))
-		return
+		return nil, "", nil, false
 	}
-	var req service.SolveRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.Unmarshal(body, req); err != nil {
 		g.badRequests.Inc()
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("fleet: decoding request: %w", err))
-		return
+		return nil, "", nil, false
 	}
-	key, err := g.resolver.RouteKey(req)
-	if err != nil {
+	if key, err = g.resolver.RouteKey(*spec); err != nil {
 		g.badRequests.Inc()
 		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, "", nil, false
 	}
-
-	owners := g.members.Ring().Owners(key, g.cfg.FailoverTries)
-	if len(owners) == 0 {
+	if owners = g.members.Ring().Owners(key, g.cfg.FailoverTries); len(owners) == 0 {
 		g.noNodes.Inc()
 		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: no healthy nodes"))
+		return nil, "", nil, false
+	}
+	return body, key, owners, true
+}
+
+// handleSolve is the hot path: admission, routing, forwarding, rewrite.
+func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
+	if !g.acquire(w) {
+		return
+	}
+	defer g.inflight.Add(-1)
+	var req service.SolveRequest
+	body, key, owners, ok := g.route(w, r, &req, &req.SolverSpec)
+	if !ok {
 		return
 	}
 

@@ -89,11 +89,13 @@ func postJSON(t *testing.T, url string, v any) (*http.Response, []byte) {
 
 func solveEntry(e CorpusEntry) service.SolveRequest {
 	return service.SolveRequest{
-		MatrixMarket:   e.MatrixMarket,
-		BlockSize:      16,
-		LocalIters:     2,
-		MaxGlobalIters: 500,
-		Tolerance:      1e-8,
+		SolverSpec: service.SolverSpec{
+			MatrixMarket:   e.MatrixMarket,
+			BlockSize:      16,
+			LocalIters:     2,
+			MaxGlobalIters: 500,
+			Tolerance:      1e-8,
+		},
 	}
 }
 
@@ -332,12 +334,14 @@ func TestGatewayCertify422EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := service.SolveRequest{
-		MatrixMarket:   sb.String(),
-		BlockSize:      32,
-		LocalIters:     1,
-		MaxGlobalIters: 50,
-		Tolerance:      1e-8,
-		Certify:        "enforce",
+		SolverSpec: service.SolverSpec{
+			MatrixMarket:   sb.String(),
+			BlockSize:      32,
+			LocalIters:     1,
+			MaxGlobalIters: 50,
+			Tolerance:      1e-8,
+			Certify:        "enforce",
+		},
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/solve", req)
 	if resp.StatusCode != http.StatusUnprocessableEntity {

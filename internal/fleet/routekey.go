@@ -13,7 +13,7 @@ import (
 	"repro/internal/sparse"
 )
 
-// keyResolver turns a solve request into its routing key: the same matrix
+// keyResolver turns a submission into its routing key: the same matrix
 // fingerprint the node-side plan/tune caches are keyed by, so ring
 // placement is verifiable against the fingerprint echoed in job results.
 //
@@ -53,10 +53,11 @@ func newKeyResolver(inlineMax int) *keyResolver {
 	}
 }
 
-// RouteKey resolves the request's matrix fingerprint. Requests that name
-// no matrix at all are rejected here with the same error shape the node
-// would produce, sparing a forward.
-func (r *keyResolver) RouteKey(req service.SolveRequest) (string, error) {
+// RouteKey resolves the matrix fingerprint of a submission's solver spec
+// (every submission body embeds one). Specs that name no matrix at all
+// are rejected here with the same error shape the node would produce,
+// sparing a forward.
+func (r *keyResolver) RouteKey(req service.SolverSpec) (string, error) {
 	switch {
 	case req.Matrix != "" && req.MatrixMarket != "":
 		return "", fmt.Errorf("fleet: exactly one of matrix or matrix_market must be set")

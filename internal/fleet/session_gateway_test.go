@@ -12,12 +12,14 @@ import (
 
 func sessionEntryRequest(e CorpusEntry) service.SessionRequest {
 	return service.SessionRequest{
-		MatrixMarket:   e.MatrixMarket,
-		BlockSize:      16,
-		LocalIters:     2,
-		MaxGlobalIters: 500,
-		Tolerance:      1e-8,
-		Seed:           7,
+		SolverSpec: service.SolverSpec{
+			MatrixMarket:   e.MatrixMarket,
+			BlockSize:      16,
+			LocalIters:     2,
+			MaxGlobalIters: 500,
+			Tolerance:      1e-8,
+			Seed:           7,
+		},
 	}
 }
 
@@ -305,13 +307,15 @@ func TestGatewayBatchRouting(t *testing.T) {
 	e := BuildCorpus(1, 64, 64)[0]
 
 	req := service.BatchRequest{
-		MatrixMarket:   e.MatrixMarket,
-		RHS:            [][]float64{entryRHS(e, 1), entryRHS(e, 2), entryRHS(e, 3)},
-		BlockSize:      16,
-		LocalIters:     2,
-		MaxGlobalIters: 500,
-		Tolerance:      1e-8,
-		Seed:           42,
+		SolverSpec: service.SolverSpec{
+			MatrixMarket:   e.MatrixMarket,
+			BlockSize:      16,
+			LocalIters:     2,
+			MaxGlobalIters: 500,
+			Tolerance:      1e-8,
+			Seed:           42,
+		},
+		RHS: [][]float64{entryRHS(e, 1), entryRHS(e, 2), entryRHS(e, 3)},
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/batch", req)
 	if resp.StatusCode != http.StatusAccepted {

@@ -134,38 +134,13 @@ func (g *Gateway) writeSessionLost(w http.ResponseWriter, id, node, fingerprint 
 // over to a successor like a solve; once the 201 lands, the session is
 // pinned to that node for its whole life.
 func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	if g.inflight.Add(1) > int64(g.cfg.MaxInflight) {
-		g.inflight.Add(-1)
-		g.shed.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusTooManyRequests, fmt.Errorf("fleet: gateway saturated (%d in flight)", g.cfg.MaxInflight))
+	if !g.acquire(w) {
 		return
 	}
 	defer g.inflight.Add(-1)
-
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))
-	if err != nil {
-		g.badRequests.Inc()
-		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("fleet: reading request: %w", err))
-		return
-	}
 	var req service.SessionRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		g.badRequests.Inc()
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("fleet: decoding request: %w", err))
-		return
-	}
-	key, err := g.resolver.RouteKey(service.SolveRequest{Matrix: req.Matrix, MatrixMarket: req.MatrixMarket})
-	if err != nil {
-		g.badRequests.Inc()
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-
-	owners := g.members.Ring().Owners(key, g.cfg.FailoverTries)
-	if len(owners) == 0 {
-		g.noNodes.Inc()
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: no healthy nodes"))
+	body, key, owners, ok := g.route(w, r, &req, &req.SolverSpec)
+	if !ok {
 		return
 	}
 	var lastErr error
@@ -359,38 +334,13 @@ func (g *Gateway) handleSessionList(w http.ResponseWriter, r *http.Request) {
 // shared matrix fingerprint, one queue slot on the owner, job ID namespaced
 // for status polls through the gateway.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if g.inflight.Add(1) > int64(g.cfg.MaxInflight) {
-		g.inflight.Add(-1)
-		g.shed.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusTooManyRequests, fmt.Errorf("fleet: gateway saturated (%d in flight)", g.cfg.MaxInflight))
+	if !g.acquire(w) {
 		return
 	}
 	defer g.inflight.Add(-1)
-
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))
-	if err != nil {
-		g.badRequests.Inc()
-		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("fleet: reading request: %w", err))
-		return
-	}
 	var req service.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		g.badRequests.Inc()
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("fleet: decoding request: %w", err))
-		return
-	}
-	key, err := g.resolver.RouteKey(service.SolveRequest{Matrix: req.Matrix, MatrixMarket: req.MatrixMarket})
-	if err != nil {
-		g.badRequests.Inc()
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-
-	owners := g.members.Ring().Owners(key, g.cfg.FailoverTries)
-	if len(owners) == 0 {
-		g.noNodes.Inc()
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: no healthy nodes"))
+	body, key, owners, ok := g.route(w, r, &req, &req.SolverSpec)
+	if !ok {
 		return
 	}
 	start := time.Now()

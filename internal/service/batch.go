@@ -6,78 +6,31 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/tune"
 )
 
 // BatchRequest is the POST /v1/batch body: N small systems sharing one
-// structure — one matrix, N right-hand sides — solved as a single batched
-// run. The batch occupies one job-queue slot regardless of N (that is its
-// queue-accounting contract: admission control prices batches as one unit
-// of work, and the per-system fan-out happens inside the worker), and
-// convergence is tracked per system with partial-failure reporting.
+// structure — the shared SolverSpec's matrix, N right-hand sides — solved
+// as a single batched run. The batch occupies one job-queue slot
+// regardless of N (that is its queue-accounting contract: admission
+// control prices batches as one unit of work, and the per-system fan-out
+// happens inside the worker), and convergence is tracked per system with
+// partial-failure reporting. Every system runs with the spec's
+// configuration; method "multigrid" is solve-only, one certificate covers
+// the whole batch, and system j derives its seed as
+// core.BatchSeed(seed, j).
 type BatchRequest struct {
-	Matrix       string `json:"matrix,omitempty"`
-	MatrixMarket string `json:"matrix_market,omitempty"`
+	SolverSpec
 	// RHS carries one right-hand side per system; at least one, at most
 	// Config.MaxBatchSystems.
 	RHS [][]float64 `json:"rhs"`
-	// Tune is "" (off) or "auto" with the SolveRequest semantics.
-	Tune string `json:"tune,omitempty"`
-	// BlockSize may be 0 only with Tune: "auto".
-	BlockSize      int     `json:"block_size,omitempty"`
-	LocalIters     int     `json:"local_iters,omitempty"`
-	Omega          float64 `json:"omega,omitempty"`
-	MaxGlobalIters int     `json:"max_global_iters"`
-	Tolerance      float64 `json:"tolerance,omitempty"`
-	// Kernel and Precision have the SolveRequest semantics: the sweep-kernel
-	// dispatch and iterate storage precision shared by every system.
-	Kernel    string `json:"kernel,omitempty"`
-	Precision string `json:"precision,omitempty"`
-	// Method and Beta select the update rule every system runs with, with
-	// the SolveRequest semantics — except "multigrid", which is solve-only.
-	Method string  `json:"method,omitempty"`
-	Beta   float64 `json:"beta,omitempty"`
-	// Stencil declares the matrix's stencil structure (SolveRequest
-	// semantics); the declaration shapes the one plan all systems share.
-	Stencil *StencilDecl `json:"stencil,omitempty"`
-	// Seed is the batch's base scheduler seed; system j derives
-	// core.BatchSeed(seed, j). 0 selects a per-run stream.
-	Seed int64 `json:"seed,omitempty"`
 	// Workers is the cross-system solver parallelism (default 1 —
 	// deterministic input order; clamped to Config.MaxBatchWorkers).
 	Workers int `json:"workers,omitempty"`
-	// Certify is "", "off", "warn" or "enforce" with the SolveRequest
-	// semantics — the systems share one matrix, so one certificate covers
-	// the whole batch.
-	Certify string `json:"certify,omitempty"`
 	// TimeoutSeconds bounds the whole batch's wall time (0: service
 	// default).
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
 	// IncludeSolutions returns each system's iterate X in the result.
 	IncludeSolutions bool `json:"include_solutions,omitempty"`
-}
-
-// solveRequest maps the shared solver configuration onto the solve-request
-// shape for validation/resolution/certification reuse.
-func (r BatchRequest) solveRequest() SolveRequest {
-	return SolveRequest{
-		Matrix:         r.Matrix,
-		MatrixMarket:   r.MatrixMarket,
-		Tune:           r.Tune,
-		BlockSize:      r.BlockSize,
-		LocalIters:     r.LocalIters,
-		Omega:          r.Omega,
-		MaxGlobalIters: r.MaxGlobalIters,
-		Tolerance:      r.Tolerance,
-		Kernel:         r.Kernel,
-		Precision:      r.Precision,
-		Method:         r.Method,
-		Beta:           r.Beta,
-		Stencil:        r.Stencil,
-		Seed:           r.Seed,
-		Certify:        r.Certify,
-		TimeoutSeconds: r.TimeoutSeconds,
-	}
 }
 
 // BatchStats is the batch slice of /statsz.
@@ -117,12 +70,12 @@ type BatchSummary struct {
 // certify=enforce a divergent matrix refuses the whole batch with the
 // structured 422 before any of its systems queue.
 func (s *Service) SubmitBatch(req BatchRequest) (*Job, error) {
-	sreq := req.solveRequest()
+	sreq := SolveRequest{SolverSpec: req.SolverSpec, TimeoutSeconds: req.TimeoutSeconds}
 	if err := s.validate(sreq); err != nil {
 		s.rejected.Add(1)
 		return nil, err
 	}
-	if _, mgrid, _ := sreq.methodKind(); mgrid {
+	if _, mgrid, _ := req.methodKind(); mgrid {
 		s.rejected.Add(1)
 		return nil, errors.New("service: batch solves run the core engines; method=multigrid is solve-only")
 	}
@@ -138,7 +91,7 @@ func (s *Service) SubmitBatch(req BatchRequest) (*Job, error) {
 		s.rejected.Add(1)
 		return nil, fmt.Errorf("service: workers must be nonnegative, have %d", req.Workers)
 	}
-	a, fp, err := s.resolveMatrix(sreq)
+	a, fp, err := s.resolveMatrix(req.SolverSpec)
 	if err != nil {
 		s.rejected.Add(1)
 		return nil, err
@@ -149,7 +102,7 @@ func (s *Service) SubmitBatch(req BatchRequest) (*Job, error) {
 			return nil, fmt.Errorf("service: batch system %d: rhs length %d does not match dimension %d", j, len(b), a.Rows)
 		}
 	}
-	cert, _, err := s.admitCertified(sreq, a, fp)
+	cert, _, err := s.admitCertified(req.SolverSpec, false, a, fp)
 	if err != nil {
 		s.rejected.Add(1)
 		return nil, err
@@ -191,77 +144,16 @@ func (s *Service) SubmitBatch(req BatchRequest) (*Job, error) {
 // should look failed, not quietly "done with zero converged".
 func (s *Service) runBatchAttempt(ctx context.Context, j *Job) (*JobResult, error) {
 	req := *j.batch
-	sreq := j.req
-
-	a, fp, err := s.resolveMatrix(sreq)
+	a, fp, err := s.resolveMatrix(req.SolverSpec)
 	if err != nil {
 		return nil, err
 	}
-
-	kernel, err := sreq.kernelKind()
+	rs, err := s.resolve(req.SolverSpec, a, fp, req.RHS[0], core.Options{Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
-	precision, err := sreq.precisionKind()
-	if err != nil {
-		return nil, err
-	}
-	rule, _, err := sreq.methodKind()
-	if err != nil {
-		return nil, err
-	}
-
-	opt := core.Options{
-		BlockSize:      req.BlockSize,
-		LocalIters:     req.LocalIters,
-		Omega:          req.Omega,
-		Method:         rule,
-		Beta:           sreq.resolvedBeta(rule),
-		MaxGlobalIters: req.MaxGlobalIters,
-		Tolerance:      req.Tolerance,
-		Precision:      precision,
-		Seed:           req.Seed,
-		Ctx:            ctx,
-		Metrics:        s.solveMetrics,
-	}
-	var tuned *TunedParams
-	if tuning, _ := sreq.tuneAuto(); tuning {
-		b := req.RHS[0]
-		tr, tuneHit, err := s.cache.GetOrTune(a, fp, b, tune.Config{Seed: s.cache.cfg.Seed})
-		if err != nil {
-			return nil, fmt.Errorf("service: auto-tune: %w", err)
-		}
-		if opt.BlockSize == 0 {
-			opt.BlockSize = tr.BlockSize
-		}
-		if opt.LocalIters == 0 {
-			opt.LocalIters = tr.LocalIters
-		}
-		if opt.Omega == 0 {
-			opt.Omega = tr.Omega
-		}
-		if req.Method == "" && req.Beta == 0 {
-			opt.Method, opt.Beta = tr.Method, tr.Beta
-		}
-		tuned = &TunedParams{
-			BlockSize:       opt.BlockSize,
-			LocalIters:      opt.LocalIters,
-			Omega:           opt.Omega,
-			Method:          opt.Method.String(),
-			Beta:            opt.Beta,
-			SecondsPerDigit: tr.SecondsPerDigit,
-			CacheHit:        tuneHit,
-		}
-	}
-
-	plan, hit, err := s.cache.GetOrBuild(a, keyWithFingerprint(fp, opt, kernel, req.Stencil.spec()))
-	if err != nil {
-		return nil, err
-	}
-	s.kernelSolves[plan.Prepared.Kernel()].Add(1)
-	s.methodSolves[opt.Method].Add(1)
-	nb := plan.Prepared.NumBlocks()
-	j.setProgress(Progress{NumBlocks: nb, PlanHit: hit})
+	nb := rs.plan.Prepared.NumBlocks()
+	j.setProgress(Progress{NumBlocks: nb, PlanHit: rs.hit})
 
 	workers := req.Workers
 	if workers == 0 {
@@ -270,7 +162,7 @@ func (s *Service) runBatchAttempt(ctx context.Context, j *Job) (*JobResult, erro
 	if max := s.cfg.MaxBatchWorkers; max > 0 && workers > max {
 		workers = max
 	}
-	res, batchErr := core.SolveBatch(plan.Prepared, req.RHS, opt, core.BatchOptions{Workers: workers})
+	res, batchErr := core.SolveBatch(rs.plan.Prepared, req.RHS, rs.opt, core.BatchOptions{Workers: workers})
 
 	summary := &BatchSummary{
 		Systems:         make([]SystemView, len(res.Systems)),
@@ -302,22 +194,11 @@ func (s *Service) runBatchAttempt(ctx context.Context, j *Job) (*JobResult, erro
 	}
 	s.batchSystemFails.Add(uint64(res.Failed + notConverged))
 
-	result := &JobResult{
-		Converged:        res.Failed == 0 && res.Converged == len(res.Systems),
-		GlobalIterations: res.TotalIterations,
-		NumBlocks:        nb,
-		PlanHit:          hit,
-		Fingerprint:      fp,
-		Tuned:            tuned,
-		Kernel:           plan.Prepared.Kernel().String(),
-		Precision:        precision,
-		Method:           opt.Method.String(),
-		Beta:             opt.Beta,
-		Batch:            summary,
-	}
-	if j.cert != nil {
-		result.Certificate = j.cert
-	}
+	result := rs.result(fp, j.cert)
+	result.Converged = res.Failed == 0 && res.Converged == len(res.Systems)
+	result.GlobalIterations = res.TotalIterations
+	result.NumBlocks = nb
+	result.Batch = summary
 	if batchErr != nil {
 		return result, batchErr
 	}

@@ -20,13 +20,15 @@ func quickBatchRequest(t *testing.T, systems int) BatchRequest {
 		rhs[j] = sessionRHS(256, j+1)
 	}
 	return BatchRequest{
-		MatrixMarket:   mmPayload(t, mats.Poisson2D(16, 16)),
-		RHS:            rhs,
-		BlockSize:      32,
-		LocalIters:     5,
-		MaxGlobalIters: 800,
-		Tolerance:      1e-10,
-		Seed:           42,
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, mats.Poisson2D(16, 16)),
+			BlockSize:      32,
+			LocalIters:     5,
+			MaxGlobalIters: 800,
+			Tolerance:      1e-10,
+			Seed:           42,
+		},
+		RHS: rhs,
 	}
 }
 

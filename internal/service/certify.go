@@ -152,7 +152,7 @@ func (c *PlanCache) CertifyStats() CertifyStats {
 }
 
 // certifyMode parses the request's certify field ("" means off).
-func (r SolveRequest) certifyMode() (certify.Mode, error) {
+func (r SolverSpec) certifyMode() (certify.Mode, error) {
 	m, err := certify.ParseMode(r.Certify)
 	if err != nil {
 		return certify.ModeOff, fmt.Errorf("service: %w", err)
@@ -172,12 +172,13 @@ func (r SolveRequest) fallbackGMRES() (bool, error) {
 	}
 }
 
-// admitCertified runs the admission pre-flight for a validated request:
+// admitCertified runs the admission pre-flight for a validated spec:
 // certify the matrix (through the fingerprint cache), refuse enforce-mode
-// divergent verdicts without a fallback, and return the certificate plus
-// whether the job must run the GMRES fallback instead of relaxation.
-func (s *Service) admitCertified(req SolveRequest, a *sparse.CSR, fp string) (*certify.Certificate, bool, error) {
-	mode, err := req.certifyMode()
+// divergent verdicts unless the request asked for the GMRES fallback, and
+// return the certificate plus whether the job must run that fallback
+// instead of relaxation.
+func (s *Service) admitCertified(spec SolverSpec, fallback bool, a *sparse.CSR, fp string) (*certify.Certificate, bool, error) {
+	mode, err := spec.certifyMode()
 	if err != nil || mode == certify.ModeOff {
 		return nil, false, err
 	}
@@ -186,7 +187,7 @@ func (s *Service) admitCertified(req SolveRequest, a *sparse.CSR, fp string) (*c
 		return nil, false, fmt.Errorf("service: admission certification: %w", err)
 	}
 	if mode == certify.ModeEnforce && cert.Verdict == certify.VerdictDiverges {
-		if gmres, _ := req.fallbackGMRES(); gmres {
+		if fallback {
 			s.certFallbacks.Add(1)
 			return &cert, true, nil
 		}

@@ -21,13 +21,15 @@ import (
 // non-dominant, ρ(B) ≈ 2.66 — provably divergent under relaxation.
 func doomedRequest(t *testing.T, mode string) SolveRequest {
 	return SolveRequest{
-		MatrixMarket:   mmPayload(t, mats.S1RMT3M1(200)),
-		BlockSize:      32,
-		LocalIters:     1,
-		MaxGlobalIters: 50,
-		Tolerance:      1e-8,
-		Seed:           7,
-		Certify:        mode,
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, mats.S1RMT3M1(200)),
+			BlockSize:      32,
+			LocalIters:     1,
+			MaxGlobalIters: 50,
+			Tolerance:      1e-8,
+			Seed:           7,
+			Certify:        mode,
+		},
 	}
 }
 
@@ -99,14 +101,16 @@ func TestCertifyEnforceFallbackGMRES(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	req := SolveRequest{
-		MatrixMarket:   mmPayload(t, weakTridiag(24, 1.3)),
-		BlockSize:      8,
-		LocalIters:     1,
-		MaxGlobalIters: 500,
-		Tolerance:      1e-8,
-		Seed:           7,
-		Certify:        "enforce",
-		Fallback:       "gmres",
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, weakTridiag(24, 1.3)),
+			BlockSize:      8,
+			LocalIters:     1,
+			MaxGlobalIters: 500,
+			Tolerance:      1e-8,
+			Seed:           7,
+			Certify:        "enforce",
+		},
+		Fallback: "gmres",
 	}
 	j, err := s.Submit(req)
 	if err != nil {

@@ -59,7 +59,7 @@ func TestServiceDeviceValidation(t *testing.T) {
 	s := New(Config{})
 	defer s.Shutdown(context.Background())
 	base := func() SolveRequest {
-		return SolveRequest{Matrix: "fv1", BlockSize: 8, LocalIters: 1, MaxGlobalIters: 1}
+		return SolveRequest{SolverSpec: SolverSpec{Matrix: "fv1", BlockSize: 8, LocalIters: 1, MaxGlobalIters: 1}}
 	}
 
 	cases := []struct {

@@ -53,10 +53,12 @@ func TestQueueFullRetryAfterComputed(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 
 	slow := SolveRequest{
-		MatrixMarket:   mmPayload(t, mats.DiagDominant(64, 4, 1.6)),
-		BlockSize:      16,
-		LocalIters:     2,
-		MaxGlobalIters: 100000, // no tolerance: runs the full budget
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, mats.DiagDominant(64, 4, 1.6)),
+			BlockSize:      16,
+			LocalIters:     2,
+			MaxGlobalIters: 100000, // no tolerance: runs the full budget
+		},
 	}
 	// Occupy the worker, then the single queue slot.
 	if _, resp := postSolve(t, ts, slow); resp.StatusCode != http.StatusAccepted {
@@ -100,11 +102,13 @@ func TestResultCarriesFingerprint(t *testing.T) {
 	a := mats.DiagDominant(48, 4, 1.6)
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	sub, resp := postSolve(t, ts, SolveRequest{
-		MatrixMarket:   mmPayload(t, a),
-		BlockSize:      16,
-		LocalIters:     2,
-		MaxGlobalIters: 500,
-		Tolerance:      1e-8,
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, a),
+			BlockSize:      16,
+			LocalIters:     2,
+			MaxGlobalIters: 500,
+			Tolerance:      1e-8,
+		},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d", resp.StatusCode)

@@ -31,15 +31,17 @@ func sanitizeFuzz(maxIters int, matrix *string, tune, certify *string, iters *in
 // a negative counter or a stuck in-flight gauge.
 func FuzzSessionRequest(f *testing.F) {
 	valid, _ := json.Marshal(SessionRequest{
-		MatrixMarket: fuzzMatrix, BlockSize: 2, LocalIters: 2, MaxGlobalIters: 50, Tolerance: 1e-8, Seed: 7,
+		SolverSpec: SolverSpec{
+			MatrixMarket: fuzzMatrix, BlockSize: 2, LocalIters: 2, MaxGlobalIters: 50, Tolerance: 1e-8, Seed: 7,
+		},
 	})
 	step, _ := json.Marshal(StepRequest{RHS: []float64{1, 1, 1, 1}})
 	f.Add(valid, step)
 	f.Add(valid, []byte(`{"rhs":[]}`))                        // empty RHS
 	f.Add(valid, []byte(`{"rhs":[1,2]}`))                     // wrong length
-	f.Add(valid, []byte(`{"rhs":[1,2,3,4,5,6,7]}`))          // overlong RHS
-	f.Add(valid, []byte(`{"rhs":[1e308,1e308,1,1]}`))        // overflow-prone values
-	f.Add(valid, []byte(`{"rhs":[1,1,1,1],"seed":-1}`))      // negative seed
+	f.Add(valid, []byte(`{"rhs":[1,2,3,4,5,6,7]}`))           // overlong RHS
+	f.Add(valid, []byte(`{"rhs":[1e308,1e308,1,1]}`))         // overflow-prone values
+	f.Add(valid, []byte(`{"rhs":[1,1,1,1],"seed":-1}`))       // negative seed
 	f.Add([]byte(`{"matrix_market":"bogus"}`), step)          // unparseable matrix
 	f.Add([]byte(`{"ttl_seconds":-5}`), step)                 // negative TTL
 	f.Add([]byte(`{"engine":"cuda"}`), step)                  // unknown engine
@@ -96,8 +98,10 @@ func FuzzSessionRequest(f *testing.F) {
 // canceled immediately — the fuzz target is admission, not the solver.
 func FuzzBatchRequest(f *testing.F) {
 	valid, _ := json.Marshal(BatchRequest{
-		MatrixMarket: fuzzMatrix, RHS: [][]float64{{1, 1, 1, 1}, {2, 2, 2, 2}},
-		BlockSize: 2, LocalIters: 2, MaxGlobalIters: 50, Tolerance: 1e-8, Seed: 42,
+		SolverSpec: SolverSpec{
+			MatrixMarket: fuzzMatrix,
+			BlockSize:    2, LocalIters: 2, MaxGlobalIters: 50, Tolerance: 1e-8, Seed: 42,
+		}, RHS: [][]float64{{1, 1, 1, 1}, {2, 2, 2, 2}},
 	})
 	f.Add(valid)
 	f.Add([]byte(`{"rhs":[]}`))                          // zero systems

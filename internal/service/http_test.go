@@ -126,12 +126,14 @@ func TestHTTPHealthz(t *testing.T) {
 func TestHTTPWarmSolveSkipsSetup(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	req := SolveRequest{
-		MatrixMarket:   mmPayload(t, mats.Poisson2D(16, 16)),
-		BlockSize:      32,
-		ExactLocal:     true, // plan includes the subdomain LU factors
-		MaxGlobalIters: 400,
-		Tolerance:      1e-10,
-		Seed:           7, // pinned: Seed 0 derives a fresh stream per run
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, mats.Poisson2D(16, 16)),
+			BlockSize:      32,
+			MaxGlobalIters: 400,
+			Tolerance:      1e-10,
+			Seed:           7, // pinned: Seed 0 derives a fresh stream per run
+		},
+		ExactLocal: true, // plan includes the subdomain LU factors
 	}
 
 	sub1, resp := postSolve(t, ts, req)
@@ -171,10 +173,12 @@ func TestHTTPWarmSolveSkipsSetup(t *testing.T) {
 func TestHTTPDeleteCancelsRunningJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
 	sub, _ := postSolve(t, ts, SolveRequest{
-		MatrixMarket:   mmPayload(t, mats.Poisson2D(40, 40)),
-		BlockSize:      64,
-		LocalIters:     5,
-		MaxGlobalIters: 1 << 30, // only cancellation ends it
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, mats.Poisson2D(40, 40)),
+			BlockSize:      64,
+			LocalIters:     5,
+			MaxGlobalIters: 1 << 30, // only cancellation ends it
+		},
 	})
 
 	// Wait until it is running and iterating.
@@ -217,10 +221,12 @@ func TestHTTPDeleteCancelsRunningJob(t *testing.T) {
 func TestHTTPQueueFull429(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	slow := SolveRequest{
-		MatrixMarket:   mmPayload(t, mats.Poisson2D(40, 40)),
-		BlockSize:      64,
-		LocalIters:     5,
-		MaxGlobalIters: 1 << 30,
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, mats.Poisson2D(40, 40)),
+			BlockSize:      64,
+			LocalIters:     5,
+			MaxGlobalIters: 1 << 30,
+		},
 	}
 	sub1, _ := postSolve(t, ts, slow)
 	waitJobState(t, ts, sub1.JobID, "running")
@@ -263,7 +269,7 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatalf("bad JSON status = %d, want 400", resp.StatusCode)
 	}
 
-	_, resp = postSolve(t, ts, SolveRequest{Matrix: "fv1"}) // no block size etc.
+	_, resp = postSolve(t, ts, SolveRequest{SolverSpec: SolverSpec{Matrix: "fv1"}}) // no block size etc.
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid request status = %d, want 400", resp.StatusCode)
 	}
@@ -274,11 +280,13 @@ func TestHTTPJobList(t *testing.T) {
 	var ids []string
 	for i := 0; i < 3; i++ {
 		sub, _ := postSolve(t, ts, SolveRequest{
-			MatrixMarket:   mmPayload(t, mats.Poisson2D(16, 16)),
-			BlockSize:      32,
-			LocalIters:     5,
-			MaxGlobalIters: 800,
-			Tolerance:      1e-10,
+			SolverSpec: SolverSpec{
+				MatrixMarket:   mmPayload(t, mats.Poisson2D(16, 16)),
+				BlockSize:      32,
+				LocalIters:     5,
+				MaxGlobalIters: 800,
+				Tolerance:      1e-10,
+			},
 		})
 		ids = append(ids, sub.JobID)
 	}

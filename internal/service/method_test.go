@@ -84,7 +84,9 @@ func TestServiceMethodValidation(t *testing.T) {
 		t.Errorf("batch multigrid: err = %v, want solve-only rejection", err)
 	}
 	if _, err := s.CreateSession(SessionRequest{
-		Matrix: "poisson2d_15", BlockSize: 32, LocalIters: 3, MaxGlobalIters: 100, Method: "multigrid",
+		SolverSpec: SolverSpec{
+			Matrix: "poisson2d_15", BlockSize: 32, LocalIters: 3, MaxGlobalIters: 100, Method: "multigrid",
+		},
 	}); err == nil || !strings.Contains(err.Error(), "solve-only") {
 		t.Errorf("session multigrid: err = %v, want solve-only rejection", err)
 	}
@@ -97,11 +99,13 @@ func TestServiceMultigridRoute(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	j, err := s.Submit(SolveRequest{
-		Matrix:         "poisson2d_15",
-		Method:         "multigrid",
-		MaxGlobalIters: 60,
-		Tolerance:      1e-8,
-		RecordHistory:  true,
+		SolverSpec: SolverSpec{
+			Matrix:         "poisson2d_15",
+			Method:         "multigrid",
+			MaxGlobalIters: 60,
+			Tolerance:      1e-8,
+		},
+		RecordHistory: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,10 +133,12 @@ func TestServiceMultigridRoute(t *testing.T) {
 
 	// A non-Poisson operator of square dimension is refused by fingerprint.
 	j2, err := s.Submit(SolveRequest{
-		MatrixMarket:   mmPayload(t, mats.FV(15, 15, 1.368)),
-		Method:         "multigrid",
-		MaxGlobalIters: 10,
-		Tolerance:      1e-6,
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, mats.FV(15, 15, 1.368)),
+			Method:         "multigrid",
+			MaxGlobalIters: 10,
+			Tolerance:      1e-6,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +221,10 @@ func TestServiceSessionMethodEcho(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	v, err := s.CreateSession(SessionRequest{
-		Matrix: "poisson2d_15", BlockSize: 45, LocalIters: 3,
-		MaxGlobalIters: 400, Tolerance: 1e-8, Method: "richardson2", Seed: 3,
+		SolverSpec: SolverSpec{
+			Matrix: "poisson2d_15", BlockSize: 45, LocalIters: 3,
+			MaxGlobalIters: 400, Tolerance: 1e-8, Method: "richardson2", Seed: 3,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -56,15 +56,17 @@ func TestMetricszStatszConsistency(t *testing.T) {
 	// cache), one validation reject.
 	for i := 0; i < 2; i++ {
 		sub, resp := postSolve(t, ts, SolveRequest{
-			Matrix: "Trefethen_2000", BlockSize: 128, LocalIters: 5,
-			MaxGlobalIters: 50, Tolerance: 1e-6,
+			SolverSpec: SolverSpec{
+				Matrix: "Trefethen_2000", BlockSize: 128, LocalIters: 5,
+				MaxGlobalIters: 50, Tolerance: 1e-6,
+			},
 		})
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
 		}
 		waitJobState(t, ts, sub.JobID, "done")
 	}
-	if _, resp := postSolve(t, ts, SolveRequest{Matrix: "Trefethen_2000"}); resp.StatusCode != http.StatusBadRequest {
+	if _, resp := postSolve(t, ts, SolveRequest{SolverSpec: SolverSpec{Matrix: "Trefethen_2000"}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid submit: status %d, want 400", resp.StatusCode)
 	}
 
@@ -119,8 +121,10 @@ func TestMetricszStatszConsistency(t *testing.T) {
 func TestMetricszEngineAndDeviceSeries(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	sub, resp := postSolve(t, ts, SolveRequest{
-		Matrix: "Trefethen_2000", BlockSize: 128, LocalIters: 5,
-		MaxGlobalIters: 30, Tolerance: 1e-6,
+		SolverSpec: SolverSpec{
+			Matrix: "Trefethen_2000", BlockSize: 128, LocalIters: 5,
+			MaxGlobalIters: 30, Tolerance: 1e-6,
+		},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)

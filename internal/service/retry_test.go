@@ -167,12 +167,14 @@ func TestHTTPChaosJobRetriedWithAttemptCount(t *testing.T) {
 		MaxAttempts: 2, RetryBaseDelay: time.Millisecond, RetryMaxDelay: 2 * time.Millisecond,
 	})
 	req := SolveRequest{
-		MatrixMarket:   mmPayload(t, mats.Poisson2D(16, 16)),
-		BlockSize:      32,
-		LocalIters:     5,
-		MaxGlobalIters: 4, // hopeless against 1e-10: forces the retry path
-		Tolerance:      1e-10,
-		Seed:           7,
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, mats.Poisson2D(16, 16)),
+			BlockSize:      32,
+			LocalIters:     5,
+			MaxGlobalIters: 4, // hopeless against 1e-10: forces the retry path
+			Tolerance:      1e-10,
+			Seed:           7,
+		},
 	}
 	sub, resp := postSolveHeaders(t, ts, req, map[string]string{
 		"X-Chaos": "stale=0.5,reorder=0.5,seed=3",

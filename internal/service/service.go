@@ -23,15 +23,15 @@ import (
 	"repro/internal/vecmath"
 )
 
-// SolveRequest is one solve submission (the POST /v1/solve body). Exactly
-// one of Matrix (a generated paper-matrix name, see mats.Names) or
-// MatrixMarket (an inline Matrix Market payload) selects the system.
-type SolveRequest struct {
+// SolverSpec is the solver configuration every submission shares: the
+// POST /v1/solve, /v1/sessions and /v1/batch bodies (SolveRequest,
+// SessionRequest, BatchRequest) embed it, so its fields sit at the top
+// level of each JSON body. Exactly one of Matrix (a generated paper-matrix
+// name, see mats.Names) or MatrixMarket (an inline Matrix Market payload)
+// selects the system.
+type SolverSpec struct {
 	Matrix       string `json:"matrix,omitempty"`
 	MatrixMarket string `json:"matrix_market,omitempty"`
-	// RHS overrides the right-hand side; default is b = A·1 (the paper's
-	// convention, exact solution = ones).
-	RHS []float64 `json:"rhs,omitempty"`
 
 	// Tune is "" (off) or "auto": run the per-matrix parameter search and
 	// solve with the winning (block size, local iterations, ω). Tunings
@@ -44,7 +44,6 @@ type SolveRequest struct {
 	// BlockSize may be 0 only with Tune: "auto" or Method: "multigrid".
 	BlockSize      int     `json:"block_size,omitempty"`
 	LocalIters     int     `json:"local_iters,omitempty"`
-	ExactLocal     bool    `json:"exact_local,omitempty"`
 	Omega          float64 `json:"omega,omitempty"`
 	MaxGlobalIters int     `json:"max_global_iters"`
 	Tolerance      float64 `json:"tolerance,omitempty"`
@@ -64,9 +63,6 @@ type SolveRequest struct {
 	// stencil implies the stencil kernel under kernel "auto" and fails the
 	// solve if no row of the matrix matches it.
 	Stencil *StencilDecl `json:"stencil,omitempty"`
-	// Engine is "simulated" (default) or "goroutine". Incompatible with
-	// Devices (a multi-device job runs on the sharded executor).
-	Engine string `json:"engine,omitempty"`
 	// Kernel selects the sweep-kernel dispatch: "" or "auto" (detect
 	// stencil structure and fall back to packed CSR), "csr", "stencil" or
 	// "sell". An explicit "stencil" on a matrix without constant-coefficient
@@ -76,6 +72,33 @@ type SolveRequest struct {
 	// Precision is "" or "f64" (exact doubles) or "f32" (float32 iterate
 	// storage with float64 accumulation and residual checks).
 	Precision string `json:"precision,omitempty"`
+	// Seed is the scheduler seed (0: a per-run stream). A batch derives
+	// system j's seed as core.BatchSeed(seed, j); a session step may
+	// override it.
+	Seed int64 `json:"seed,omitempty"`
+
+	// Certify selects the admission-time convergence pre-flight: "" or
+	// "off" (skip), "warn" (certify and echo the certificate in the
+	// result), or "enforce" (additionally refuse matrices certified
+	// divergent with a structured 422 at submission — before the job ever
+	// queues — unless a solve's Fallback reroutes them). Certificates are
+	// cached by matrix fingerprint, so a warm daemon answers in
+	// cache-lookup time.
+	Certify string `json:"certify,omitempty"`
+}
+
+// SolveRequest is one solve submission (the POST /v1/solve body): the
+// shared SolverSpec plus the fields only a single solve has.
+type SolveRequest struct {
+	SolverSpec
+	// RHS overrides the right-hand side; default is b = A·1 (the paper's
+	// convention, exact solution = ones).
+	RHS []float64 `json:"rhs,omitempty"`
+	// ExactLocal replaces the local sweeps with exact subdomain solves.
+	ExactLocal bool `json:"exact_local,omitempty"`
+	// Engine is "simulated" (default) or "goroutine". Incompatible with
+	// Devices (a multi-device job runs on the sharded executor).
+	Engine string `json:"engine,omitempty"`
 	// Devices > 0 routes the job to the live multi-device executor with
 	// that many GPUs (bounded by the modeled topology's maximum) and
 	// reports the modeled wall time in the result. 0 (default) solves on
@@ -84,7 +107,6 @@ type SolveRequest struct {
 	// Strategy selects the inter-GPU communication scheme for a Devices
 	// job: "amc" (default), "dc" or "dk". Must be empty when Devices is 0.
 	Strategy string `json:"strategy,omitempty"`
-	Seed     int64  `json:"seed,omitempty"`
 	// TimeoutSeconds bounds the solve's wall time (0: service default).
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
 	// IncludeSolution returns the iterate X in the job result.
@@ -94,14 +116,6 @@ type SolveRequest struct {
 	// Chaos perturbs the solve's schedule (requires Config.EnableChaos).
 	// HTTP clients can also set it via the X-Chaos header.
 	Chaos *ChaosSpec `json:"chaos,omitempty"`
-
-	// Certify selects the admission-time convergence pre-flight: "" or
-	// "off" (skip), "warn" (certify and echo the certificate in the job
-	// result), or "enforce" (additionally refuse matrices certified
-	// divergent with a structured 422 at submission — before the job ever
-	// queues — unless Fallback reroutes them). Certificates are cached by
-	// matrix fingerprint, so a warm daemon answers in cache-lookup time.
-	Certify string `json:"certify,omitempty"`
 	// Fallback is "" or "gmres": with certify=enforce, a divergent-verdict
 	// matrix is rerouted to the synchronous GMRES solver instead of being
 	// rejected — the job then reports `"fallback": "gmres"` in its result.
@@ -142,7 +156,7 @@ const (
 // methodKind parses the request's solver method. multigrid reports true
 // for the V-cycle route; otherwise the rule is the core update rule the
 // engines run with.
-func (r SolveRequest) methodKind() (rule core.RuleKind, multigrid bool, err error) {
+func (r SolverSpec) methodKind() (rule core.RuleKind, multigrid bool, err error) {
 	m := strings.ToLower(strings.TrimSpace(r.Method))
 	if m == methodMultigrid {
 		return core.RuleJacobi, true, nil
@@ -157,7 +171,7 @@ func (r SolveRequest) methodKind() (rule core.RuleKind, multigrid bool, err erro
 // resolvedBeta returns the momentum coefficient the solve runs with: the
 // request's beta, or defaultBeta for richardson2 requests that leave it
 // unset. Callers must have validated the method first.
-func (r SolveRequest) resolvedBeta(rule core.RuleKind) float64 {
+func (r SolverSpec) resolvedBeta(rule core.RuleKind) float64 {
 	if r.Beta != 0 {
 		return r.Beta
 	}
@@ -168,7 +182,7 @@ func (r SolveRequest) resolvedBeta(rule core.RuleKind) float64 {
 }
 
 // tuneAuto parses the request's tune mode.
-func (r SolveRequest) tuneAuto() (bool, error) {
+func (r SolverSpec) tuneAuto() (bool, error) {
 	switch strings.ToLower(strings.TrimSpace(r.Tune)) {
 	case "":
 		return false, nil
@@ -179,20 +193,20 @@ func (r SolveRequest) tuneAuto() (bool, error) {
 	}
 }
 
-// engineKind parses the request's engine name.
-func (r SolveRequest) engineKind() (core.EngineKind, error) {
-	switch strings.ToLower(strings.TrimSpace(r.Engine)) {
+// parseEngine parses a solve or session request's engine name.
+func parseEngine(name string) (core.EngineKind, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "", "simulated":
 		return core.EngineSimulated, nil
 	case "goroutine":
 		return core.EngineGoroutine, nil
 	default:
-		return 0, fmt.Errorf("service: unknown engine %q (want \"simulated\" or \"goroutine\")", r.Engine)
+		return 0, fmt.Errorf("service: unknown engine %q (want \"simulated\" or \"goroutine\")", name)
 	}
 }
 
 // kernelKind parses the request's sweep-kernel dispatch name.
-func (r SolveRequest) kernelKind() (core.KernelKind, error) {
+func (r SolverSpec) kernelKind() (core.KernelKind, error) {
 	k, err := core.ParseKernel(strings.ToLower(strings.TrimSpace(r.Kernel)))
 	if err != nil {
 		return 0, fmt.Errorf("service: %w", err)
@@ -202,7 +216,7 @@ func (r SolveRequest) kernelKind() (core.KernelKind, error) {
 
 // precisionKind parses the request's iterate storage precision, returning
 // the normalized name ("" maps to f64).
-func (r SolveRequest) precisionKind() (string, error) {
+func (r SolverSpec) precisionKind() (string, error) {
 	switch strings.ToLower(strings.TrimSpace(r.Precision)) {
 	case "", core.PrecF64:
 		return core.PrecF64, nil
@@ -452,7 +466,7 @@ func (s *Service) Submit(req SolveRequest) (*Job, error) {
 		s.rejected.Add(1)
 		return nil, err
 	}
-	a, fp, err := s.resolveMatrix(req)
+	a, fp, err := s.resolveMatrix(req.SolverSpec)
 	if err != nil {
 		s.rejected.Add(1)
 		return nil, err
@@ -462,7 +476,8 @@ func (s *Service) Submit(req SolveRequest) (*Job, error) {
 	// certificate) instead of surfacing later as a failed job. The
 	// certificate — whatever the verdict — rides on the job for the
 	// result echo.
-	cert, gmres, err := s.admitCertified(req, a, fp)
+	fallback, _ := req.fallbackGMRES()
+	cert, gmres, err := s.admitCertified(req.SolverSpec, fallback, a, fp)
 	if err != nil {
 		s.rejected.Add(1)
 		return nil, err
@@ -557,7 +572,7 @@ func (s *Service) validate(req SolveRequest) error {
 	if req.TimeoutSeconds < 0 {
 		return fmt.Errorf("service: timeout_seconds must be nonnegative, have %g", req.TimeoutSeconds)
 	}
-	if _, err := req.engineKind(); err != nil {
+	if _, err := parseEngine(req.Engine); err != nil {
 		return err
 	}
 	if _, err := req.kernelKind(); err != nil {
@@ -622,7 +637,7 @@ func (s *Service) validate(req SolveRequest) error {
 // resolveMatrix returns the system matrix and its fingerprint. Named
 // matrices are generated and fingerprinted once, then served from a
 // per-service cache; inline payloads are parsed and hashed per call.
-func (s *Service) resolveMatrix(req SolveRequest) (*sparse.CSR, string, error) {
+func (s *Service) resolveMatrix(req SolverSpec) (*sparse.CSR, string, error) {
 	if req.Matrix != "" {
 		s.mu.Lock()
 		nm, ok := s.mats[req.Matrix]
@@ -901,24 +916,15 @@ func (s *Service) runAttempt(ctx context.Context, j *Job, attempt int) (*JobResu
 	}
 	req := j.req
 
-	a, fp, err := s.resolveMatrix(req)
+	a, fp, err := s.resolveMatrix(req.SolverSpec)
 	if err != nil {
 		return nil, err
 	}
-	engine, err := req.engineKind()
+	engine, err := parseEngine(req.Engine)
 	if err != nil {
 		return nil, err
 	}
-	kernel, err := req.kernelKind()
-	if err != nil {
-		return nil, err
-	}
-	precision, err := req.precisionKind()
-	if err != nil {
-		return nil, err
-	}
-
-	rule, mgrid, err := req.methodKind()
+	_, mgrid, err := req.methodKind()
 	if err != nil {
 		return nil, err
 	}
@@ -938,21 +944,11 @@ func (s *Service) runAttempt(ctx context.Context, j *Job, attempt int) (*JobResu
 		return s.runMultigridAttempt(ctx, j, a, fp, b)
 	}
 
-	opt := core.Options{
-		BlockSize:      req.BlockSize,
-		LocalIters:     req.LocalIters,
-		ExactLocal:     req.ExactLocal,
-		Omega:          req.Omega,
-		Method:         rule,
-		Beta:           req.resolvedBeta(rule),
-		MaxGlobalIters: req.MaxGlobalIters,
-		Tolerance:      req.Tolerance,
-		RecordHistory:  req.RecordHistory,
-		Engine:         engine,
-		Precision:      precision,
-		Seed:           req.Seed,
-		Ctx:            ctx,
-		Metrics:        s.solveMetrics,
+	base := core.Options{
+		ExactLocal:    req.ExactLocal,
+		RecordHistory: req.RecordHistory,
+		Engine:        engine,
+		Ctx:           ctx,
 	}
 	if req.Chaos != nil {
 		// Each attempt gets a shifted chaos seed so retries explore a
@@ -961,48 +957,13 @@ func (s *Service) runAttempt(ctx context.Context, j *Job, attempt int) (*JobResu
 		if err != nil {
 			return nil, err
 		}
-		opt.Chaos = &core.ChaosHooks{Delay: c.Delay, Reorder: c.Reorder, StaleRead: c.StaleRead}
+		base.Chaos = &core.ChaosHooks{Delay: c.Delay, Reorder: c.Reorder, StaleRead: c.StaleRead}
 	}
-
-	var tuned *TunedParams
-	if tuning, _ := req.tuneAuto(); tuning {
-		// The search is seeded by the cache config, not the request, so
-		// every request of a matrix resolves to the same cached tuning.
-		tr, tuneHit, err := s.cache.GetOrTune(a, fp, b, tune.Config{Seed: s.cache.cfg.Seed})
-		if err != nil {
-			return nil, fmt.Errorf("service: auto-tune: %w", err)
-		}
-		if opt.BlockSize == 0 {
-			opt.BlockSize = tr.BlockSize
-		}
-		if opt.LocalIters == 0 {
-			opt.LocalIters = tr.LocalIters
-		}
-		if opt.Omega == 0 {
-			opt.Omega = tr.Omega
-		}
-		if req.Method == "" && req.Beta == 0 {
-			// The method stage's pick applies only when the request left the
-			// rule entirely to the tuner.
-			opt.Method, opt.Beta = tr.Method, tr.Beta
-		}
-		tuned = &TunedParams{
-			BlockSize:       opt.BlockSize,
-			LocalIters:      opt.LocalIters,
-			Omega:           opt.Omega,
-			Method:          opt.Method.String(),
-			Beta:            opt.Beta,
-			SecondsPerDigit: tr.SecondsPerDigit,
-			CacheHit:        tuneHit,
-		}
-	}
-
-	plan, hit, err := s.cache.GetOrBuild(a, keyWithFingerprint(fp, opt, kernel, req.Stencil.spec()))
+	rs, err := s.resolve(req.SolverSpec, a, fp, b, base)
 	if err != nil {
 		return nil, err
 	}
-	s.kernelSolves[plan.Prepared.Kernel()].Add(1)
-	s.methodSolves[opt.Method].Add(1)
+	opt, plan, hit := rs.opt, rs.plan, rs.hit
 
 	nb := plan.Prepared.NumBlocks()
 	s.perf.SetOccupancy(s.occupancy, nb)
@@ -1022,10 +983,10 @@ func (s *Service) runAttempt(ctx context.Context, j *Job, attempt int) (*JobResu
 
 	var res core.Result
 	var modeled float64
+	var strat multigpu.Strategy
 	if req.Devices > 0 {
-		strat, serr := req.strategyKind()
-		if serr != nil {
-			return nil, serr
+		if strat, err = req.strategyKind(); err != nil {
+			return nil, err
 		}
 		s.deviceSolves[strat].Add(1)
 		var mres multigpu.Result
@@ -1035,23 +996,14 @@ func (s *Service) runAttempt(ctx context.Context, j *Job, attempt int) (*JobResu
 	} else {
 		res, err = core.SolveWithPlan(plan.Prepared, b, opt)
 	}
-	result := &JobResult{
-		Converged:        res.Converged,
-		GlobalIterations: res.GlobalIterations,
-		Residual:         res.Residual,
-		NumBlocks:        res.NumBlocks,
-		PlanHit:          hit,
-		Fingerprint:      fp,
-		Devices:          req.Devices,
-		ModeledSeconds:   modeled,
-		Tuned:            tuned,
-		Kernel:           plan.Prepared.Kernel().String(),
-		Precision:        precision,
-		Method:           opt.Method.String(),
-		Beta:             opt.Beta,
-	}
+	result := rs.result(fp, j.cert)
+	result.Converged = res.Converged
+	result.GlobalIterations = res.GlobalIterations
+	result.Residual = res.Residual
+	result.NumBlocks = res.NumBlocks
+	result.Devices = req.Devices
+	result.ModeledSeconds = modeled
 	if req.Devices > 0 {
-		strat, _ := req.strategyKind()
 		result.Strategy = strat.String()
 	}
 	if req.RecordHistory {
@@ -1063,17 +1015,107 @@ func (s *Service) runAttempt(ctx context.Context, j *Job, attempt int) (*JobResu
 	if plan.HasReport {
 		result.Analysis = plan.Report.String()
 	}
-	if j.cert != nil {
-		result.Certificate = j.cert
-		if j.cert.PredictedIters > 0 {
-			result.PredictedVsActual = float64(res.GlobalIterations) / float64(j.cert.PredictedIters)
-		}
+	if j.cert != nil && j.cert.PredictedIters > 0 {
+		result.PredictedVsActual = float64(res.GlobalIterations) / float64(j.cert.PredictedIters)
 	}
 	if err == nil && req.Tolerance > 0 && !res.Converged {
 		err = fmt.Errorf("service: %w after %d global iterations (residual %.3e, tolerance %.3e)",
 			core.ErrNotConverged, res.GlobalIterations, res.Residual, req.Tolerance)
 	}
 	return result, err
+}
+
+// resolvedSpec is a SolverSpec resolved against its matrix: the core
+// options every solve of it runs with, tuned values filled in, the plan
+// those solves share, and the cache outcomes the results report.
+type resolvedSpec struct {
+	opt   core.Options
+	plan  *Plan
+	hit   bool
+	tuned *TunedParams
+}
+
+// resolve is the one path from a validated spec to core options and a
+// plan, shared by solves, sessions and batches: parse the kernel,
+// precision and method, fill in the tuned parameters (tune=auto; the tuner
+// probes with b), fetch or build the plan, and count the attempt under its
+// resolved kernel and method. opt carries the caller's own fields (engine,
+// context, hooks); resolve sets the spec's.
+func (s *Service) resolve(spec SolverSpec, a *sparse.CSR, fp string, b []float64, opt core.Options) (resolvedSpec, error) {
+	kernel, err := spec.kernelKind()
+	if err != nil {
+		return resolvedSpec{}, err
+	}
+	precision, err := spec.precisionKind()
+	if err != nil {
+		return resolvedSpec{}, err
+	}
+	rule, _, err := spec.methodKind()
+	if err != nil {
+		return resolvedSpec{}, err
+	}
+	opt.BlockSize, opt.LocalIters, opt.Omega = spec.BlockSize, spec.LocalIters, spec.Omega
+	opt.Method, opt.Beta = rule, spec.resolvedBeta(rule)
+	opt.MaxGlobalIters, opt.Tolerance = spec.MaxGlobalIters, spec.Tolerance
+	opt.Precision, opt.Seed, opt.Metrics = precision, spec.Seed, s.solveMetrics
+
+	var rs resolvedSpec
+	if tuning, _ := spec.tuneAuto(); tuning {
+		// The search is seeded by the cache config, not the request, so
+		// every request of a matrix resolves to the same cached tuning.
+		tr, tuneHit, err := s.cache.GetOrTune(a, fp, b, tune.Config{Seed: s.cache.cfg.Seed})
+		if err != nil {
+			return resolvedSpec{}, fmt.Errorf("service: auto-tune: %w", err)
+		}
+		if opt.BlockSize == 0 {
+			opt.BlockSize = tr.BlockSize
+		}
+		if opt.LocalIters == 0 {
+			opt.LocalIters = tr.LocalIters
+		}
+		if opt.Omega == 0 {
+			opt.Omega = tr.Omega
+		}
+		if spec.Method == "" && spec.Beta == 0 {
+			// The method stage's pick applies only when the request left the
+			// rule entirely to the tuner.
+			opt.Method, opt.Beta = tr.Method, tr.Beta
+		}
+		rs.tuned = &TunedParams{
+			BlockSize:       opt.BlockSize,
+			LocalIters:      opt.LocalIters,
+			Omega:           opt.Omega,
+			Method:          opt.Method.String(),
+			Beta:            opt.Beta,
+			SecondsPerDigit: tr.SecondsPerDigit,
+			CacheHit:        tuneHit,
+		}
+	}
+
+	rs.plan, rs.hit, err = s.cache.GetOrBuild(a, keyWithFingerprint(fp, opt, kernel, spec.Stencil.spec()))
+	if err != nil {
+		return resolvedSpec{}, err
+	}
+	s.kernelSolves[rs.plan.Prepared.Kernel()].Add(1)
+	s.methodSolves[opt.Method].Add(1)
+	rs.opt = opt
+	return rs, nil
+}
+
+// result starts the JobResult of a solve or batch run on the resolved
+// spec: the plan, tuning, kernel, precision and method fields, plus the
+// fingerprint and admission certificate.
+func (rs resolvedSpec) result(fp string, cert *certify.Certificate) *JobResult {
+	return &JobResult{
+		PlanHit:     rs.hit,
+		Fingerprint: fp,
+		Tuned:       rs.tuned,
+		Kernel:      rs.plan.Prepared.Kernel().String(),
+		Precision:   rs.opt.Precision,
+		Method:      rs.opt.Method.String(),
+		Beta:        rs.opt.Beta,
+		Certificate: cert,
+	}
 }
 
 // runGMRESFallback executes the synchronous GMRES reroute of an

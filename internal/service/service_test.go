@@ -25,24 +25,28 @@ func mmPayload(t *testing.T, a *sparse.CSR) string {
 // quickRequest is a small, fast-converging solve.
 func quickRequest(t *testing.T) SolveRequest {
 	return SolveRequest{
-		MatrixMarket:   mmPayload(t, mats.Poisson2D(16, 16)),
-		BlockSize:      32,
-		LocalIters:     5,
-		MaxGlobalIters: 800,
-		Tolerance:      1e-10,
-		RecordHistory:  true,
-		Seed:           7, // pinned: Seed 0 derives a fresh stream per run
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, mats.Poisson2D(16, 16)),
+			BlockSize:      32,
+			LocalIters:     5,
+			MaxGlobalIters: 800,
+			Tolerance:      1e-10,
+			Seed:           7, // pinned: Seed 0 derives a fresh stream per run
+		},
+		RecordHistory: true,
 	}
 }
 
 // slowRequest runs effectively forever until canceled.
 func slowRequest(t *testing.T) SolveRequest {
 	return SolveRequest{
-		MatrixMarket:   mmPayload(t, mats.Poisson2D(40, 40)),
-		BlockSize:      64,
-		LocalIters:     5,
-		MaxGlobalIters: 1 << 30,
-		Tolerance:      0, // no stopping test: only cancellation ends it
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, mats.Poisson2D(40, 40)),
+			BlockSize:      64,
+			LocalIters:     5,
+			MaxGlobalIters: 1 << 30,
+			Tolerance:      0, // no stopping test: only cancellation ends it
+		},
 	}
 }
 
@@ -258,14 +262,14 @@ func TestServiceValidation(t *testing.T) {
 	s := New(Config{})
 	defer s.Shutdown(context.Background())
 	cases := []SolveRequest{
-		{},                                 // no matrix
-		{Matrix: "fv1", MatrixMarket: "x"}, // both sources
-		{Matrix: "no-such-matrix", BlockSize: 8, LocalIters: 1, MaxGlobalIters: 1},
-		{Matrix: "fv1", LocalIters: 1, MaxGlobalIters: 1}, // no block size
-		{Matrix: "fv1", BlockSize: 8, MaxGlobalIters: 1},  // no local iters
-		{Matrix: "fv1", BlockSize: 8, LocalIters: 1},      // no budget
-		{Matrix: "fv1", BlockSize: 8, LocalIters: 1, MaxGlobalIters: 1, Engine: "cuda"},
-		{MatrixMarket: "not a matrix", BlockSize: 8, LocalIters: 1, MaxGlobalIters: 1},
+		{}, // no matrix
+		{SolverSpec: SolverSpec{Matrix: "fv1", MatrixMarket: "x"}}, // both sources
+		{SolverSpec: SolverSpec{Matrix: "no-such-matrix", BlockSize: 8, LocalIters: 1, MaxGlobalIters: 1}},
+		{SolverSpec: SolverSpec{Matrix: "fv1", LocalIters: 1, MaxGlobalIters: 1}}, // no block size
+		{SolverSpec: SolverSpec{Matrix: "fv1", BlockSize: 8, MaxGlobalIters: 1}},  // no local iters
+		{SolverSpec: SolverSpec{Matrix: "fv1", BlockSize: 8, LocalIters: 1}},      // no budget
+		{SolverSpec: SolverSpec{Matrix: "fv1", BlockSize: 8, LocalIters: 1, MaxGlobalIters: 1}, Engine: "cuda"},
+		{SolverSpec: SolverSpec{MatrixMarket: "not a matrix", BlockSize: 8, LocalIters: 1, MaxGlobalIters: 1}},
 	}
 	for i, req := range cases {
 		if _, err := s.Submit(req); err == nil {
@@ -318,17 +322,19 @@ func TestServiceNamedMatrixCachedFingerprint(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	req := SolveRequest{
-		Matrix:         "Trefethen_2000",
-		BlockSize:      448,
-		LocalIters:     5,
-		MaxGlobalIters: 100,
-		Tolerance:      1e-10,
+		SolverSpec: SolverSpec{
+			Matrix:         "Trefethen_2000",
+			BlockSize:      448,
+			LocalIters:     5,
+			MaxGlobalIters: 100,
+			Tolerance:      1e-10,
+		},
 	}
-	a1, fp1, err := s.resolveMatrix(req)
+	a1, fp1, err := s.resolveMatrix(req.SolverSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, fp2, err := s.resolveMatrix(req)
+	a2, fp2, err := s.resolveMatrix(req.SolverSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

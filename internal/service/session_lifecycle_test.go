@@ -20,12 +20,14 @@ import (
 // quickSessionRequest is a small, fast-converging session configuration.
 func quickSessionRequest(t *testing.T) SessionRequest {
 	return SessionRequest{
-		MatrixMarket:   mmPayload(t, mats.Poisson2D(16, 16)),
-		BlockSize:      32,
-		LocalIters:     5,
-		MaxGlobalIters: 800,
-		Tolerance:      1e-10,
-		Seed:           7,
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, mats.Poisson2D(16, 16)),
+			BlockSize:      32,
+			LocalIters:     5,
+			MaxGlobalIters: 800,
+			Tolerance:      1e-10,
+			Seed:           7,
+		},
 	}
 }
 

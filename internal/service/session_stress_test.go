@@ -30,12 +30,14 @@ func TestSessionConcurrentSteppersAndDelete(t *testing.T) {
 
 	a := mats.Poisson2D(16, 16)
 	v, err := s.CreateSession(SessionRequest{
-		MatrixMarket:   mmPayload(t, a),
-		BlockSize:      32,
-		LocalIters:     5,
-		MaxGlobalIters: 800,
-		Tolerance:      1e-10,
-		Seed:           7,
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, a),
+			BlockSize:      32,
+			LocalIters:     5,
+			MaxGlobalIters: 800,
+			Tolerance:      1e-10,
+			Seed:           7,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,13 +137,15 @@ func TestSessionReaperNeverKillsInflightStep(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	v, err := s.CreateSession(SessionRequest{
-		MatrixMarket:   mmPayload(t, mats.Poisson2D(16, 16)),
-		BlockSize:      32,
-		LocalIters:     5,
-		MaxGlobalIters: 800,
-		Tolerance:      1e-10,
-		Seed:           7,
-		TTLSeconds:     0.03,
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, mats.Poisson2D(16, 16)),
+			BlockSize:      32,
+			LocalIters:     5,
+			MaxGlobalIters: 800,
+			Tolerance:      1e-10,
+			Seed:           7,
+		},
+		TTLSeconds: 0.03,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,12 +205,14 @@ func TestSessionConcurrentCreateLimit(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			_, err := s.CreateSession(SessionRequest{
-				MatrixMarket:   payload,
-				BlockSize:      32,
-				LocalIters:     5,
-				MaxGlobalIters: 800,
-				Tolerance:      1e-10,
-				Seed:           7,
+				SolverSpec: SolverSpec{
+					MatrixMarket:   payload,
+					BlockSize:      32,
+					LocalIters:     5,
+					MaxGlobalIters: 800,
+					Tolerance:      1e-10,
+					Seed:           7,
+				},
 			})
 			switch {
 			case err == nil:

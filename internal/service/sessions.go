@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/solver"
 	"repro/internal/sparse"
-	"repro/internal/tune"
 	"repro/internal/vecmath"
 )
 
@@ -70,74 +69,22 @@ func (st SessionState) String() string {
 	}
 }
 
-// SessionRequest is the POST /v1/sessions body: one system (matrix, solver
-// configuration, optional tuning and admission certification) that a
-// stream of per-step right-hand sides will be solved against. The plan,
-// tuning and certificate are resolved once at creation; every step reuses
-// them and warm-starts from the previous step's iterate.
+// SessionRequest is the POST /v1/sessions body: one system (the shared
+// SolverSpec — matrix, solver configuration, optional tuning and admission
+// certification) that a stream of per-step right-hand sides will be solved
+// against. The plan, tuning and certificate are resolved once at creation;
+// every step reuses them and warm-starts from the previous step's iterate.
+// Sessions run the core engines, so method "multigrid" is rejected, and
+// the momentum trail of "richardson2" carries across steps with the warm
+// iterate. The spec's Seed is every step's default seed.
 type SessionRequest struct {
-	Matrix       string `json:"matrix,omitempty"`
-	MatrixMarket string `json:"matrix_market,omitempty"`
-	// Tune is "" (off) or "auto", with the SolveRequest semantics: the
-	// tuned (block size, local iterations, ω) fills any field left zero.
-	Tune string `json:"tune,omitempty"`
-	// BlockSize may be 0 only with Tune: "auto".
-	BlockSize      int     `json:"block_size,omitempty"`
-	LocalIters     int     `json:"local_iters,omitempty"`
-	Omega          float64 `json:"omega,omitempty"`
-	MaxGlobalIters int     `json:"max_global_iters"`
-	Tolerance      float64 `json:"tolerance,omitempty"`
+	SolverSpec
 	// Engine is "simulated" (default) or "goroutine".
 	Engine string `json:"engine,omitempty"`
-	// Kernel and Precision have the SolveRequest semantics: the sweep-kernel
-	// dispatch ("", "auto", "csr", "stencil", "sell") and the iterate
-	// storage precision ("", "f64", "f32") every step of the session uses.
-	Kernel    string `json:"kernel,omitempty"`
-	Precision string `json:"precision,omitempty"`
-	// Method and Beta have the SolveRequest semantics ("", "jacobi",
-	// "richardson2"); sessions run the core engines, so "multigrid" is
-	// rejected here. The momentum trail carries across steps with the warm
-	// iterate.
-	Method string  `json:"method,omitempty"`
-	Beta   float64 `json:"beta,omitempty"`
-	// Stencil has the SolveRequest semantics: declared structure for an
-	// uploaded Matrix Market operator, enabling the stencil kernel.
-	Stencil *StencilDecl `json:"stencil,omitempty"`
-	// Seed is the default scheduler seed of every step (0: per-run stream);
-	// a step request may override it.
-	Seed int64 `json:"seed,omitempty"`
-	// Certify is "", "off", "warn" or "enforce" with the SolveRequest
-	// semantics; an enforce-mode divergent verdict refuses the session at
-	// creation with the structured 422.
-	Certify string `json:"certify,omitempty"`
 	// TTLSeconds overrides the service's idle session TTL (0: the
 	// Config.SessionTTL default). A session idle this long with no step in
 	// flight is reaped; in-flight steps always finish first.
 	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
-}
-
-// solveRequest maps the session configuration onto the solve-request
-// shape so validation, matrix resolution, tuning and certification reuse
-// the single-solve code paths.
-func (r SessionRequest) solveRequest() SolveRequest {
-	return SolveRequest{
-		Matrix:         r.Matrix,
-		MatrixMarket:   r.MatrixMarket,
-		Tune:           r.Tune,
-		BlockSize:      r.BlockSize,
-		LocalIters:     r.LocalIters,
-		Omega:          r.Omega,
-		MaxGlobalIters: r.MaxGlobalIters,
-		Tolerance:      r.Tolerance,
-		Engine:         r.Engine,
-		Kernel:         r.Kernel,
-		Precision:      r.Precision,
-		Method:         r.Method,
-		Beta:           r.Beta,
-		Stencil:        r.Stencil,
-		Seed:           r.Seed,
-		Certify:        r.Certify,
-	}
 }
 
 // StepRequest is the POST /v1/sessions/{id}/step body: the next
@@ -192,24 +139,24 @@ type SessionView struct {
 	FailedSteps   uint64 `json:"failed_steps"`
 	InflightSteps int    `json:"inflight_steps"`
 	// WarmStart reports whether the next step would warm-start.
-	WarmStart  bool                 `json:"warm_start"`
-	BlockSize  int                  `json:"block_size"`
-	LocalIters int                  `json:"local_iters"`
-	Omega      float64              `json:"omega"`
-	Engine     string               `json:"engine"`
+	WarmStart  bool    `json:"warm_start"`
+	BlockSize  int     `json:"block_size"`
+	LocalIters int     `json:"local_iters"`
+	Omega      float64 `json:"omega"`
+	Engine     string  `json:"engine"`
 	// Kernel is the resolved sweep kernel every step runs (what a "kernel":
 	// "auto" request dispatched to); Precision the iterate storage precision.
 	Kernel    string `json:"kernel,omitempty"`
 	Precision string `json:"precision,omitempty"`
 	// Method is the update rule every step runs; Beta its momentum
 	// coefficient (0 for jacobi).
-	Method string  `json:"method,omitempty"`
-	Beta   float64 `json:"beta,omitempty"`
-	Tuned      *TunedParams         `json:"tuned,omitempty"`
+	Method      string               `json:"method,omitempty"`
+	Beta        float64              `json:"beta,omitempty"`
+	Tuned       *TunedParams         `json:"tuned,omitempty"`
 	Certificate *certify.Certificate `json:"certificate,omitempty"`
-	TTLSeconds float64              `json:"ttl_seconds"`
-	Created    time.Time            `json:"created"`
-	LastUsed   time.Time            `json:"last_used"`
+	TTLSeconds  float64              `json:"ttl_seconds"`
+	Created     time.Time            `json:"created"`
+	LastUsed    time.Time            `json:"last_used"`
 }
 
 // SessionStats is the session slice of /statsz.
@@ -235,7 +182,7 @@ type session struct {
 
 	// Immutable after creation.
 	a      *sparse.CSR
-	opt    core.Options // per-step option template (no Seed/Ctx/hooks)
+	opt    core.Options // per-step option template (no Ctx/hooks; Seed is the default)
 	tuned  *TunedParams
 	cert   *certify.Certificate
 	kernel string // resolved sweep kernel (survives the plan drop)
@@ -471,100 +418,41 @@ func (st *sessionStore) get(id string) (*session, error) {
 // so every step is pure iteration — the session analogue of a warm plan
 // cache.
 func (s *Service) CreateSession(req SessionRequest) (SessionView, error) {
-	sreq := req.solveRequest()
-	if err := s.validate(sreq); err != nil {
+	view, err := s.createSession(req)
+	if err != nil {
 		s.rejected.Add(1)
+	}
+	return view, err
+}
+
+func (s *Service) createSession(req SessionRequest) (SessionView, error) {
+	if err := s.validate(SolveRequest{SolverSpec: req.SolverSpec, Engine: req.Engine}); err != nil {
 		return SessionView{}, err
 	}
 	if req.TTLSeconds < 0 {
-		s.rejected.Add(1)
 		return SessionView{}, fmt.Errorf("service: ttl_seconds must be nonnegative, have %g", req.TTLSeconds)
 	}
-	a, fp, err := s.resolveMatrix(sreq)
+	a, fp, err := s.resolveMatrix(req.SolverSpec)
 	if err != nil {
-		s.rejected.Add(1)
 		return SessionView{}, err
 	}
-	cert, _, err := s.admitCertified(sreq, a, fp)
+	cert, _, err := s.admitCertified(req.SolverSpec, false, a, fp)
 	if err != nil {
-		s.rejected.Add(1)
 		return SessionView{}, err
 	}
-	engine, err := sreq.engineKind()
-	if err != nil {
-		s.rejected.Add(1)
-		return SessionView{}, err
-	}
-	kernel, err := sreq.kernelKind()
-	if err != nil {
-		s.rejected.Add(1)
-		return SessionView{}, err
-	}
-	precision, err := sreq.precisionKind()
-	if err != nil {
-		s.rejected.Add(1)
-		return SessionView{}, err
-	}
-	rule, mgrid, err := sreq.methodKind()
-	if err != nil {
-		s.rejected.Add(1)
-		return SessionView{}, err
-	}
-	if mgrid {
-		s.rejected.Add(1)
+	if _, mgrid, _ := req.methodKind(); mgrid {
 		return SessionView{}, errors.New("service: sessions run the core engines; method=multigrid is solve-only")
 	}
-
-	opt := core.Options{
-		BlockSize:      req.BlockSize,
-		LocalIters:     req.LocalIters,
-		Omega:          req.Omega,
-		Method:         rule,
-		Beta:           sreq.resolvedBeta(rule),
-		MaxGlobalIters: req.MaxGlobalIters,
-		Tolerance:      req.Tolerance,
-		Engine:         engine,
-		Precision:      precision,
-		Metrics:        s.solveMetrics,
-	}
-	var tuned *TunedParams
-	if tuning, _ := sreq.tuneAuto(); tuning {
-		b := make([]float64, a.Rows)
-		a.MulVec(b, vecmath.Ones(a.Cols))
-		tr, tuneHit, err := s.cache.GetOrTune(a, fp, b, tune.Config{Seed: s.cache.cfg.Seed})
-		if err != nil {
-			s.rejected.Add(1)
-			return SessionView{}, fmt.Errorf("service: auto-tune: %w", err)
-		}
-		if opt.BlockSize == 0 {
-			opt.BlockSize = tr.BlockSize
-		}
-		if opt.LocalIters == 0 {
-			opt.LocalIters = tr.LocalIters
-		}
-		if opt.Omega == 0 {
-			opt.Omega = tr.Omega
-		}
-		if req.Method == "" && req.Beta == 0 {
-			opt.Method, opt.Beta = tr.Method, tr.Beta
-		}
-		tuned = &TunedParams{
-			BlockSize:       opt.BlockSize,
-			LocalIters:      opt.LocalIters,
-			Omega:           opt.Omega,
-			Method:          opt.Method.String(),
-			Beta:            opt.Beta,
-			SecondsPerDigit: tr.SecondsPerDigit,
-			CacheHit:        tuneHit,
-		}
-	}
-	plan, _, err := s.cache.GetOrBuild(a, keyWithFingerprint(fp, opt, kernel, req.Stencil.spec()))
+	engine, err := parseEngine(req.Engine)
 	if err != nil {
-		s.rejected.Add(1)
 		return SessionView{}, err
 	}
-	s.kernelSolves[plan.Prepared.Kernel()].Add(1)
-	s.methodSolves[opt.Method].Add(1)
+	b := make([]float64, a.Rows)
+	a.MulVec(b, vecmath.Ones(a.Cols))
+	rs, err := s.resolve(req.SolverSpec, a, fp, b, core.Options{Engine: engine})
+	if err != nil {
+		return SessionView{}, err
+	}
 
 	ttl := s.cfg.SessionTTL
 	if req.TTLSeconds > 0 {
@@ -575,7 +463,6 @@ func (s *Service) CreateSession(req SessionRequest) (SessionView, error) {
 	st.mu.Lock()
 	if s.Draining() {
 		st.mu.Unlock()
-		s.rejected.Add(1)
 		return SessionView{}, ErrShuttingDown
 	}
 	active := 0
@@ -588,7 +475,6 @@ func (s *Service) CreateSession(req SessionRequest) (SessionView, error) {
 	}
 	if active >= s.cfg.MaxSessions {
 		st.mu.Unlock()
-		s.rejected.Add(1)
 		return SessionView{}, fmt.Errorf("%w: %d active", ErrTooManySessions, active)
 	}
 	now := time.Now()
@@ -597,19 +483,16 @@ func (s *Service) CreateSession(req SessionRequest) (SessionView, error) {
 		fp:       fp,
 		ttl:      ttl,
 		a:        a,
-		opt:      opt,
-		tuned:    tuned,
+		opt:      rs.opt,
+		tuned:    rs.tuned,
 		cert:     cert,
 		state:    SessionActive,
-		kernel:   plan.Prepared.Kernel().String(),
-		core:     core.NewSession(plan.Prepared),
-		plan:     plan,
+		kernel:   rs.plan.Prepared.Kernel().String(),
+		core:     core.NewSession(rs.plan.Prepared),
+		plan:     rs.plan,
 		created:  now,
 		lastUsed: now,
 	}
-	// The session's default seed rides in the template; per-step overrides
-	// replace it in stepOptions.
-	ss.opt.Seed = req.Seed
 	st.sessions[ss.id] = ss
 	st.order = append(st.order, ss.id)
 	st.mu.Unlock()

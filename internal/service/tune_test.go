@@ -67,11 +67,13 @@ func TestServiceTuneAutoEndToEnd(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	req := SolveRequest{
-		MatrixMarket:   mmPayload(t, mats.Trefethen(300)),
-		Tune:           "auto",
-		MaxGlobalIters: 400,
-		Tolerance:      1e-8,
-		Seed:           1,
+		SolverSpec: SolverSpec{
+			MatrixMarket:   mmPayload(t, mats.Trefethen(300)),
+			Tune:           "auto",
+			MaxGlobalIters: 400,
+			Tolerance:      1e-8,
+			Seed:           1,
+		},
 	}
 	run := func() *JobResult {
 		j, err := s.Submit(req)
@@ -128,16 +130,16 @@ func TestServiceTuneValidation(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	for _, req := range []SolveRequest{
-		{Matrix: "fv1", Tune: "maximal", BlockSize: 8, LocalIters: 1, MaxGlobalIters: 1},
-		{Matrix: "fv1", Tune: "auto", ExactLocal: true, MaxGlobalIters: 1},
-		{Matrix: "fv1", MaxGlobalIters: 1, LocalIters: 1}, // no block size without tune
+		{SolverSpec: SolverSpec{Matrix: "fv1", Tune: "maximal", BlockSize: 8, LocalIters: 1, MaxGlobalIters: 1}},
+		{SolverSpec: SolverSpec{Matrix: "fv1", Tune: "auto", MaxGlobalIters: 1}, ExactLocal: true},
+		{SolverSpec: SolverSpec{Matrix: "fv1", MaxGlobalIters: 1, LocalIters: 1}}, // no block size without tune
 	} {
 		if _, err := s.Submit(req); err == nil {
 			t.Errorf("request %+v was accepted", req)
 		}
 	}
 	// tune=auto lifts the block_size/local_iters requirements.
-	if err := s.validate(SolveRequest{Matrix: "fv1", Tune: "auto", MaxGlobalIters: 1}); err != nil {
+	if err := s.validate(SolveRequest{SolverSpec: SolverSpec{Matrix: "fv1", Tune: "auto", MaxGlobalIters: 1}}); err != nil {
 		t.Errorf("tune=auto request rejected: %v", err)
 	}
 }
