@@ -161,9 +161,9 @@ func TestFreeRunningReplayBitIdenticalAcross50(t *testing.T) {
 	}
 }
 
-// A goroutine-engine capture replays deterministically through the same
-// worker pool (events dispatched one at a time — the injected yield
-// point), and the replayed iterate solves the system.
+// A goroutine-engine capture replays deterministically (one recorded
+// event at a time against the live iterate), and the replayed iterate
+// solves the system.
 func TestGoroutineReplayDeterministic(t *testing.T) {
 	a := mats.Poisson2D(12, 12)
 	b := onesRHS(a)
