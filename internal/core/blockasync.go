@@ -251,14 +251,8 @@ func (o Options) validate(a *sparse.CSR, b []float64) error {
 	if o.Omega < 0 || o.Omega >= 2 {
 		return fmt.Errorf("core: Omega must lie in (0,2), have %g", o.Omega)
 	}
-	if o.Method != RuleJacobi && o.Method != RuleRichardson2 {
-		return fmt.Errorf("core: unknown update rule %v", o.Method)
-	}
-	if o.Beta < 0 || o.Beta >= 1 {
-		return fmt.Errorf("core: Beta must lie in [0,1), have %g", o.Beta)
-	}
-	if o.Beta != 0 && o.Method != RuleRichardson2 {
-		return fmt.Errorf("core: Beta %g requires Method RuleRichardson2, have %s", o.Beta, o.Method)
+	if err := validateRule(o.Method, o.Beta); err != nil {
+		return err
 	}
 	if o.Beta != 0 && o.ExactLocal {
 		return fmt.Errorf("core: momentum (Beta %g) is incompatible with ExactLocal: the exact subdomain solves have no sweep recurrence", o.Beta)

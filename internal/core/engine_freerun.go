@@ -123,14 +123,8 @@ func (o FreeRunningOptions) validate(a *sparse.CSR, b []float64) error {
 	if err := validatePrecision(o.Precision); err != nil {
 		return err
 	}
-	if o.Method != RuleJacobi && o.Method != RuleRichardson2 {
-		return fmt.Errorf("core: unknown update rule %v", o.Method)
-	}
-	if o.Beta < 0 || o.Beta >= 1 {
-		return fmt.Errorf("core: Beta must lie in [0,1), have %g", o.Beta)
-	}
-	if o.Beta != 0 && o.Method != RuleRichardson2 {
-		return fmt.Errorf("core: Beta %g requires Method RuleRichardson2, have %s", o.Beta, o.Method)
+	if err := validateRule(o.Method, o.Beta); err != nil {
+		return err
 	}
 	return validateGuess(a.Rows, o.InitialGuess)
 }
@@ -322,12 +316,11 @@ const maxLead = 2
 
 // freeRun is the coordination state of one live free-running solve.
 type freeRun struct {
-	mu      sync.Mutex
-	cond    *sync.Cond // signals round completions, exits and the stop
-	rounds  []int      // completed rounds per worker; math.MaxInt once exited
-	stopped bool       // the stop, under mu
+	mu     sync.Mutex
+	cond   *sync.Cond // signals round completions, exits and the stop
+	rounds []int      // completed rounds per worker; math.MaxInt once exited
 
-	stop     atomic.Bool // the stop, for the block-boundary checks
+	stop     atomic.Bool // set under mu, so a waiter cannot miss it
 	canceled atomic.Bool
 	updates  atomic.Int64
 	// quiesce is held shared across each block execution and exclusively
@@ -341,22 +334,17 @@ type freeRun struct {
 func (f *freeRun) await(w int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for !f.stopped && f.rounds[w]-slices.Min(f.rounds) >= maxLead {
+	for !f.stop.Load() && f.rounds[w]-slices.Min(f.rounds) >= maxLead {
 		f.cond.Wait()
 	}
-	return !f.stopped
+	return !f.stop.Load()
 }
 
 func (f *freeRun) endRound(w int) { f.update(func() { f.rounds[w]++ }) }
 
 func (f *freeRun) exit(w int) { f.update(func() { f.rounds[w] = math.MaxInt }) }
 
-func (f *freeRun) halt() {
-	f.update(func() {
-		f.stopped = true
-		f.stop.Store(true)
-	})
-}
+func (f *freeRun) halt() { f.update(func() { f.stop.Store(true) }) }
 
 // update applies change under the lock and wakes the waiting workers.
 func (f *freeRun) update(change func()) {

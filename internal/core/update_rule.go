@@ -59,6 +59,21 @@ func ParseRule(s string) (RuleKind, error) {
 	return RuleJacobi, fmt.Errorf(`core: unknown update rule %q (want "jacobi" or "richardson2")`, s)
 }
 
+// validateRule checks an update rule and its momentum coefficient, the
+// same for every engine.
+func validateRule(kind RuleKind, beta float64) error {
+	if kind != RuleJacobi && kind != RuleRichardson2 {
+		return fmt.Errorf("core: unknown update rule %v", kind)
+	}
+	if beta < 0 || beta >= 1 {
+		return fmt.Errorf("core: Beta must lie in [0,1), have %g", beta)
+	}
+	if beta != 0 && kind != RuleRichardson2 {
+		return fmt.Errorf("core: Beta %g requires Method RuleRichardson2, have %s", beta, kind)
+	}
+	return nil
+}
+
 // updateRule is the per-solve state of the update-rule seam, shared by every
 // worker of the solve. The scalar fields are immutable after construction;
 // prev — the momentum trail x_{k−1}, indexed like the iterate — is written
