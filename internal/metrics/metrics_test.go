@@ -205,6 +205,35 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrentFirstUse has many goroutines look up the same
+// not-yet-registered series at once, as the gateway's per-node counters
+// are on the first requests to a node: every caller must get the one fully
+// built instance (under -race, no access may race its construction).
+func TestRegistryConcurrentFirstUse(t *testing.T) {
+	const workers = 16
+	reg := NewRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reg.Counter("first_use_total", "x", "node", "n1").Inc()
+			reg.Gauge("first_use_gauge", "x", "node", "n1").Add(1)
+			reg.Histogram("first_use_seconds", "x", nil, "node", "n1").Observe(1)
+		}()
+	}
+	wg.Wait()
+	if got := reg.Counter("first_use_total", "x", "node", "n1").Value(); got != workers {
+		t.Errorf("counter = %d, want %d", got, workers)
+	}
+	if got := reg.Gauge("first_use_gauge", "x", "node", "n1").Value(); got != workers {
+		t.Errorf("gauge = %g, want %d", got, workers)
+	}
+	if got := reg.Histogram("first_use_seconds", "x", nil, "node", "n1").Count(); got != workers {
+		t.Errorf("histogram count = %d, want %d", got, workers)
+	}
+}
+
 func TestRegistryIdempotentAndConflicts(t *testing.T) {
 	reg := NewRegistry()
 	a := reg.Counter("x_total", "help", "engine", "simulated")

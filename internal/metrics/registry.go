@@ -109,8 +109,10 @@ func escapeLabel(v string) string {
 }
 
 // register returns the series for name+labels, creating family and series
-// as needed. mustNew reports whether the series was created by this call.
-func (r *Registry) register(name, help string, k kind, labels []string) (*series, bool) {
+// as needed; fresh reports whether this call created the series, and init
+// fills a fresh series under the lock, so a concurrent first use of the
+// same series never observes it half-built.
+func (r *Registry) register(name, help string, k kind, labels []string, init func(*series)) (s *series, fresh bool) {
 	if !nameRE.MatchString(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
@@ -125,9 +127,10 @@ func (r *Registry) register(name, help string, k kind, labels []string) (*series
 	} else if f.kind != k {
 		panic(fmt.Sprintf("metrics: %s already registered as %s, now requested as %s", name, f.kind, k))
 	}
-	s, ok := f.series[lb]
+	s, ok = f.series[lb]
 	if !ok {
 		s = &series{labels: lb}
+		init(s)
 		f.series[lb] = s
 		f.order = append(f.order, lb)
 	}
@@ -137,10 +140,7 @@ func (r *Registry) register(name, help string, k kind, labels []string) (*series
 // Counter returns the counter for name and the given key/value label pairs,
 // registering it on first use.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s, fresh := r.register(name, help, kindCounter, labels)
-	if fresh {
-		s.counter = &Counter{}
-	}
+	s, _ := r.register(name, help, kindCounter, labels, func(s *series) { s.counter = &Counter{} })
 	if s.counter == nil {
 		panic(fmt.Sprintf("metrics: %s%s is a callback counter", name, s.labels))
 	}
@@ -152,19 +152,15 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 // totals, cache hit counts) without double bookkeeping — /metricsz and any
 // JSON stats endpoint then render the *same* number by construction.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...string) {
-	s, fresh := r.register(name, help, kindCounter, labels)
+	s, fresh := r.register(name, help, kindCounter, labels, func(s *series) { s.counterFunc = fn })
 	if !fresh {
 		panic(fmt.Sprintf("metrics: %s%s already registered", name, s.labels))
 	}
-	s.counterFunc = fn
 }
 
 // Gauge returns the gauge for name and labels, registering it on first use.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s, fresh := r.register(name, help, kindGauge, labels)
-	if fresh {
-		s.gauge = &Gauge{}
-	}
+	s, _ := r.register(name, help, kindGauge, labels, func(s *series) { s.gauge = &Gauge{} })
 	if s.gauge == nil {
 		panic(fmt.Sprintf("metrics: %s%s is a callback gauge", name, s.labels))
 	}
@@ -174,11 +170,10 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 // GaugeFunc registers a gauge whose value is read from fn at exposition
 // time (queue depth, busy workers, cache bytes).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	s, fresh := r.register(name, help, kindGauge, labels)
+	s, fresh := r.register(name, help, kindGauge, labels, func(s *series) { s.gaugeFunc = fn })
 	if !fresh {
 		panic(fmt.Sprintf("metrics: %s%s already registered", name, s.labels))
 	}
-	s.gaugeFunc = fn
 }
 
 // Histogram returns the histogram for name and labels, registering it with
@@ -186,10 +181,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 // DefBuckets). Later calls ignore the bucket argument and return the
 // existing instance.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
-	s, fresh := r.register(name, help, kindHistogram, labels)
-	if fresh {
-		s.hist = newHistogram(buckets)
-	}
+	s, _ := r.register(name, help, kindHistogram, labels, func(s *series) { s.hist = newHistogram(buckets) })
 	return s.hist
 }
 
