@@ -46,11 +46,12 @@ type blockPool struct {
 	r *barrier
 	// iter and evs are written before the first send of an iteration and
 	// read by the workers after their receive (the send orders them).
-	iter int
-	evs  []sched.Event
-	work chan int // indices into evs
-	wg   sync.WaitGroup
-	done sync.WaitGroup
+	iter  int
+	evs   []sched.Event
+	work  chan int    // indices into evs
+	delta atomicFloat // Σ‖Δx_J‖₂² of the running iteration
+	wg    sync.WaitGroup
+	done  sync.WaitGroup
 }
 
 func startBlockPool(r *barrier, workers int) *blockPool {
@@ -67,7 +68,8 @@ func startBlockPool(r *barrier, workers int) *blockPool {
 				// in-flight block. An exact local solve only fails on a
 				// dimension mismatch, which the plan's construction rules out.
 				if !r.canceled() {
-					_ = r.exec(pl.iter, &pl.evs[i], w, nil, scr)
+					d2, _ := r.exec(pl.iter, &pl.evs[i], w, nil, scr)
+					pl.delta.add(d2)
 				}
 				pl.wg.Done()
 			}
@@ -76,8 +78,9 @@ func startBlockPool(r *barrier, workers int) *blockPool {
 	return pl
 }
 
-func (pl *blockPool) iterate(iter int, evs []sched.Event) error {
+func (pl *blockPool) iterate(iter int, evs []sched.Event) (float64, error) {
 	pl.iter, pl.evs = iter, evs
+	pl.delta.reset()
 	for i := range evs {
 		// Stop dispatching as soon as the context is done, so at most the
 		// in-flight blocks (≤ workers) run to completion.
@@ -91,7 +94,7 @@ func (pl *blockPool) iterate(iter int, evs []sched.Event) error {
 		pl.work <- i
 	}
 	pl.wg.Wait()
-	return nil
+	return pl.delta.load(), nil
 }
 
 func (pl *blockPool) stop() {

@@ -242,11 +242,12 @@ func (sh *shardSet) publish(s, iter int) {
 // through its lane's view, then publishes; the WaitGroup is the
 // end-of-iteration barrier.
 type shardPool struct {
-	r    *barrier
-	sh   *shardSet
-	work []chan int
-	wg   sync.WaitGroup
-	done sync.WaitGroup
+	r     *barrier
+	sh    *shardSet
+	work  []chan int
+	delta atomicFloat // Σ‖Δx_J‖₂² of the running iteration
+	wg    sync.WaitGroup
+	done  sync.WaitGroup
 }
 
 func startShardPool(r *barrier, sh *shardSet) *shardPool {
@@ -267,8 +268,9 @@ func startShardPool(r *barrier, sh *shardSet) *shardPool {
 	return sp
 }
 
-func (sp *shardPool) iterate(iter int, evs []sched.Event) error {
+func (sp *shardPool) iterate(iter int, evs []sched.Event) (float64, error) {
 	sh := sp.sh
+	sp.delta.reset()
 	sh.begin(iter, false)
 	for _, e := range evs {
 		l := &sh.lanes[sh.blockShard[e.Block]]
@@ -279,7 +281,7 @@ func (sp *shardPool) iterate(iter int, evs []sched.Event) error {
 		c <- iter
 	}
 	sp.wg.Wait()
-	return nil
+	return sp.delta.load(), nil
 }
 
 // runShard is one shard's iteration on its own goroutine.
@@ -295,7 +297,8 @@ func (sp *shardPool) runShard(s, iter int, scr *kernelScratch) {
 				continue
 			}
 			// Exact local solves cannot fail here; see startBlockPool.
-			_ = r.exec(iter, &l.order[i], s, read, scr)
+			d2, _ := r.exec(iter, &l.order[i], s, read, scr)
+			sp.delta.add(d2)
 		}
 	}
 	sp.sh.publish(s, iter)

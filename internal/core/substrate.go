@@ -111,10 +111,10 @@ func (s *chaoticScheduler) BeginIteration(iter int) []sched.Event {
 func (s *chaoticScheduler) View(iter int, e *sched.Event) IterateView { return nil }
 
 // atomicFloat accumulates float64 contributions from concurrent workers
-// (the per-iteration block-update norm). The summation order is whatever
-// the interleaving produces — acceptable for the incremental residual
-// estimate, which only gates when an exact check runs; under the inline
-// executor it is the dispatch order.
+// (the per-iteration block-update norm of the pool and shard executors).
+// The summation order is whatever the interleaving produces — acceptable
+// for the incremental residual estimate, which only gates when an exact
+// check runs.
 type atomicFloat struct{ bits atomic.Uint64 }
 
 func (f *atomicFloat) add(v float64) {
@@ -156,7 +156,6 @@ type barrier struct {
 	live   IterateView
 	writer valueWriter
 	access VectorAccess
-	delta  atomicFloat // Σ‖Δx_J‖₂² of the running global iteration
 
 	// shards puts the inline executor's blocks in their shard's lane (the
 	// sequential sharded executor); nil otherwise.
@@ -233,10 +232,11 @@ func (r *barrier) skipBlock(iter, block int) bool {
 }
 
 // runBarrier is the global-iteration loop of every barrier engine. iterate
-// is the executor: it runs one iteration's dispatch list and returns once
+// is the executor: it runs one iteration's dispatch list, returns once
 // every block it started has finished — the end-of-iteration barrier — or
-// stops dispatching early when the context is done.
-func runBarrier(r *barrier, iterate func(iter int, evs []sched.Event) error) (Result, error) {
+// stops dispatching early when the context is done, and reports the
+// iteration's summed squared block-update norm Σ‖Δx_J‖₂².
+func runBarrier(r *barrier, iterate func(iter int, evs []sched.Event) (float64, error)) (Result, error) {
 	opt, a := r.opt, r.p.a
 	res := Result{NumBlocks: r.p.NumBlocks(), Trace: r.trace}
 	if opt.RecordHistory {
@@ -244,10 +244,10 @@ func runBarrier(r *barrier, iterate func(iter int, evs []sched.Event) error) (Re
 	}
 	rs := newResidualState(opt, r.p.factors != nil, r.is.resid)
 	for iter := 1; iter <= r.maxIters; iter++ {
+		var delta2 float64
 		err := ctxErr(opt.Ctx, iter-1)
 		if err == nil {
-			r.delta.reset()
-			err = iterate(iter, r.sched.BeginIteration(iter))
+			delta2, err = iterate(iter, r.sched.BeginIteration(iter))
 		}
 		if err == nil {
 			err = ctxErr(opt.Ctx, iter-1)
@@ -263,7 +263,6 @@ func runBarrier(r *barrier, iterate func(iter int, evs []sched.Event) error) (Re
 		if opt.AfterIteration != nil {
 			opt.AfterIteration(iter, r.access)
 		}
-		delta2 := r.delta.load()
 		if rs.skip(iter, r.maxIters, delta2) {
 			res.GlobalIterations = iter
 			continue
@@ -289,7 +288,8 @@ func runBarrier(r *barrier, iterate func(iter int, evs []sched.Event) error) (Re
 // solve's goroutine. Under the sequential sharded executor each block runs
 // in its shard's lane: skipped with its shard, reading through the shard's
 // view, recorded under the shard's index.
-func (r *barrier) runInline(iter int, evs []sched.Event) error {
+func (r *barrier) runInline(iter int, evs []sched.Event) (float64, error) {
+	var delta2 float64
 	sh := r.shards
 	if sh != nil {
 		sh.begin(iter, true)
@@ -314,24 +314,27 @@ func (r *barrier) runInline(iter int, evs []sched.Event) error {
 		if r.skipBlock(iter, int(e.Block)) {
 			continue
 		}
-		if err := r.exec(iter, e, worker, read, r.scr); err != nil {
-			return err
+		d2, err := r.exec(iter, e, worker, read, r.scr)
+		if err != nil {
+			return 0, err
 		}
+		delta2 += d2
 	}
 	if sh != nil {
 		for s := range sh.lanes {
 			sh.publish(s, iter)
 		}
 	}
-	return nil
+	return delta2, nil
 }
 
 // exec runs one dispatched block: the scheduler's view (else read, else
 // the live iterate), the chaos delay, the kernel or exact local solve, and
-// the taps — counters, the recorded event, the trace. It is called
+// the taps — counters, the recorded event, the trace. It returns the
+// block's squared update norm (0 for an exact local solve). It is called
 // concurrently by the pool and shard executors, whose solves carry no
 // trace.
-func (r *barrier) exec(iter int, e *sched.Event, worker int, read IterateView, scr *kernelScratch) error {
+func (r *barrier) exec(iter int, e *sched.Event, worker int, read IterateView, scr *kernelScratch) (float64, error) {
 	bi := int(e.Block)
 	if v := r.sched.View(iter, e); v != nil {
 		read = v
@@ -346,12 +349,13 @@ func (r *barrier) exec(iter int, e *sched.Event, worker int, read IterateView, s
 			iter: iter, blockVersion: r.version, part: r.p.part}
 	}
 	a, v := r.p.a, &r.p.views[bi]
+	var d2 float64
 	if e.Sweeps == 0 {
 		if err := runBlockExact(a, r.b, v, r.p.factors.lu[bi], read, r.writer, scr); err != nil {
-			return err
+			return 0, err
 		}
 	} else {
-		r.delta.add(r.kern(a, r.p.sp, r.b, v, int(e.Sweeps), r.rule, read, read, r.writer, scr))
+		d2 = r.kern(a, r.p.sp, r.b, v, int(e.Sweeps), r.rule, read, read, r.writer, scr)
 	}
 	r.em.addBlockSweep()
 	if r.replay {
@@ -368,7 +372,7 @@ func (r *barrier) exec(iter int, e *sched.Event, worker int, read IterateView, s
 		r.version[bi] = iter
 		r.trace.UpdatesPerBlock[bi]++
 	}
-	return nil
+	return d2, nil
 }
 
 // validateSystem checks the system shape every engine entry point requires:
