@@ -140,7 +140,7 @@ func hashTrace(tr *Trace) uint64 {
 }
 
 // TestBarrierGoldenPreRefactor pins, with hashes recorded on the tree
-// before the barrier engines were folded into one driver, what
+// before the barrier engines were folded into one loop, what
 // TestJacobiGoldenPreRefactor does not reach: the event stream and trace
 // statistics a simulated solve records (with skipped blocks and stale
 // reads), the goroutine engine replaying that capture, and the simulated
