@@ -10,6 +10,7 @@ import (
 	"repro/internal/certify"
 	"repro/internal/sched"
 	"repro/internal/sparse"
+	"repro/internal/vecmath"
 )
 
 // EngineKind selects the execution engine.
@@ -92,7 +93,7 @@ type Options struct {
 	// iterations before convergence is noticed. Values 0 and 1 mean exact
 	// checks every iteration (the default). The gate requires a Tolerance
 	// and disables itself when the per-iteration residual is itself the
-	// output (RecordHistory or Metrics) or under ExactLocal.
+	// output (RecordHistory, Metrics or OnResidual) or under ExactLocal.
 	ResidualEvery int
 	// InitialGuess seeds x if non-nil (not modified); zero vector otherwise.
 	InitialGuess []float64
@@ -145,7 +146,8 @@ type Options struct {
 	// AfterIteration, if non-nil, runs after each global iteration's
 	// barrier with read/write access to the iterate. Package fault uses
 	// this hook to inject *silent* errors (§4.5: undetected corruption);
-	// monitoring code can use it to snoop on convergence.
+	// monitoring code can use it to snoop on the iterate (OnResidual
+	// reports the residual without computing it again).
 	AfterIteration func(iter int, x VectorAccess)
 
 	// Record, if non-nil, captures the executed block schedule: every
@@ -186,6 +188,16 @@ type Options struct {
 	// control flow: the stopping test and divergence detection stay
 	// governed by Tolerance/RecordHistory alone.
 	Metrics *SolveMetrics
+	// OnResidual, if non-nil, receives every exact residual check of a
+	// barrier engine as soon as it is computed: the global iteration and
+	// the same ‖b−Ax‖₂ that goes into Result.Residual, the history and the
+	// metrics ring, passed before the stopping and divergence tests. It
+	// runs on the solve's goroutine. Like Metrics, setting it makes every
+	// global iteration compute the exact residual, even with Tolerance 0
+	// and no RecordHistory, and switches the ResidualEvery estimate off;
+	// it never changes control flow. internal/service reports job and
+	// session-step progress through it.
+	OnResidual func(iter int, residual float64)
 
 	// referenceKernel pins the engines to the pre-staging reference block
 	// kernel; the bit-identity property tests use it to run whole solves
@@ -339,7 +351,10 @@ func Solve(a *sparse.CSR, b []float64, opt Options) (Result, error) {
 // norms contract at the iteration's asymptotic rate, so their ratio tracks
 // the residual's decay without touching the matrix.
 type residualState struct {
-	scratch   []float64
+	scratch []float64
+	// rows is the executor's residual pass (see barrier.rows); nil fills
+	// the rows on the solve's goroutine.
+	rows      func(r, x []float64)
 	every     int
 	tol       float64
 	lastExact float64 // residual at the last exact checkpoint
@@ -350,14 +365,25 @@ type residualState struct {
 // newResidualState sizes the gate for one solve. The incremental estimate
 // only engages when it cannot change observable output: there must be a
 // tolerance to estimate against, and no consumer of the per-iteration
-// residual (RecordHistory, Metrics). ExactLocal solves keep exact checks —
-// the direct subdomain solves do not produce an update norm.
-func newResidualState(opt Options, exactLocal bool, scratch []float64) *residualState {
-	rs := &residualState{scratch: scratch, every: opt.ResidualEvery, tol: opt.Tolerance}
-	if opt.Tolerance <= 0 || opt.RecordHistory || opt.Metrics != nil || exactLocal {
+// residual (RecordHistory, Metrics, OnResidual). ExactLocal solves keep
+// exact checks — the direct subdomain solves do not produce an update norm.
+func newResidualState(opt Options, exactLocal bool, scratch []float64, rows func(r, x []float64)) *residualState {
+	rs := &residualState{scratch: scratch, rows: rows, every: opt.ResidualEvery, tol: opt.Tolerance}
+	if opt.Tolerance <= 0 || opt.RecordHistory || opt.Metrics != nil || opt.OnResidual != nil || exactLocal {
 		rs.every = 0
 	}
 	return rs
+}
+
+// exact computes ‖b−Ax‖₂ into the scratch. Wherever the rows ran, the norm
+// is one serial Nrm2 in row order, so the value is bit-identical to
+// residualInto.
+func (rs *residualState) exact(a *sparse.CSR, b, x []float64) float64 {
+	if rs.rows == nil {
+		return residualInto(rs.scratch, a, b, x)
+	}
+	rs.rows(rs.scratch, x)
+	return vecmath.Nrm2(rs.scratch)
 }
 
 // skip reports whether iteration iter may defer the exact residual check:
@@ -386,20 +412,23 @@ func (rs *residualState) skip(iter, maxIters int, delta2 float64) bool {
 func checkResidual(a *sparse.CSR, b, x []float64, opt Options, res *Result, iter int, delta2 float64, rs *residualState) (bool, error) {
 	res.GlobalIterations = iter
 	wantStop := opt.RecordHistory || opt.Tolerance != 0
-	if !wantStop && opt.Metrics == nil {
+	if !wantStop && opt.Metrics == nil && opt.OnResidual == nil {
 		return false, nil
 	}
-	r := residualInto(rs.scratch, a, b, x)
+	r := rs.exact(a, b, x)
 	rs.lastExact, rs.lastDelta, rs.haveExact = r, math.Sqrt(delta2), true
 	res.Residual = r
 	opt.Metrics.pushResidual(r)
+	if opt.OnResidual != nil {
+		opt.OnResidual(iter, r)
+	}
 	if opt.RecordHistory {
 		res.History = append(res.History, r)
 	}
 	if !wantStop {
-		// Metrics-only residual tracing must not alter control flow: with
-		// Tolerance 0 the stopping test (and its divergence error) stays
-		// disabled, exactly as for an uninstrumented run.
+		// Residual tracing (Metrics, OnResidual) must not alter control
+		// flow: with Tolerance 0 the stopping test (and its divergence
+		// error) stays disabled, exactly as for an uninstrumented run.
 		return false, nil
 	}
 	if math.IsNaN(r) || math.IsInf(r, 0) {

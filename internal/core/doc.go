@@ -15,11 +15,14 @@
 // (substrate.go), and differs only in the (scheduler, executor) pair it
 // hands that loop. The scheduler (BlockScheduler) decides which blocks run
 // in what order and what they read (IterateView); the executor decides
-// where they run:
+// where they run, and where the exact residual check's rows run — the pool
+// fills them on its workers after the barrier, the others on the solve's
+// goroutine, with one serial norm either way, so the residual's bits do
+// not depend on the executor:
 //
 //	engine                      scheduler                      executor
 //	EngineSimulated             wave: snapshots, race coins    inline
-//	EngineGoroutine             chaotic: live reads            pool
+//	EngineGoroutine             chaotic: live reads            pool (blocks and residual rows)
 //	SolveSharded                chaotic: shard views           shards
 //	SolveSharded, Sequential    chaotic: shard views           inline
 //	Options.Replay              replay: a capture's epochs     inline

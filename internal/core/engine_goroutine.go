@@ -36,22 +36,26 @@ func solveGoroutine(p *Plan, b []float64, opt Options) (Result, error) {
 	r.sched = newChaoticScheduler(opt, r.em, nb, r.is)
 	pool := startBlockPool(r, workers)
 	defer pool.stop()
+	r.rows = pool.residualRows
 	return runBarrier(r, pool.iterate)
 }
 
-// blockPool is the pool executor: persistent workers fed one block at a
-// time from the running iteration's dispatch list; the WaitGroup is the
-// end-of-iteration barrier.
+// blockPool is the pool executor: persistent workers fed one task at a
+// time, either a block of the running iteration's dispatch list or, after
+// the barrier, the residual rows of one plan block; the WaitGroup is the
+// barrier of each round.
 type blockPool struct {
 	r *barrier
-	// iter and evs are written before the first send of an iteration and
-	// read by the workers after their receive (the send orders them).
-	iter  int
-	evs   []sched.Event
-	work  chan int    // indices into evs
-	delta atomicFloat // Σ‖Δx_J‖₂² of the running iteration
-	wg    sync.WaitGroup
-	done  sync.WaitGroup
+	// iter and evs, or resid and x, are written before the first send of a
+	// round and read by the workers after their receive (the send orders
+	// them).
+	iter     int
+	evs      []sched.Event
+	resid, x []float64
+	work     chan int    // an index into evs, or ^bi: plan block bi's residual rows
+	delta    atomicFloat // Σ‖Δx_J‖₂² of the running iteration
+	wg       sync.WaitGroup
+	done     sync.WaitGroup
 }
 
 func startBlockPool(r *barrier, workers int) *blockPool {
@@ -63,11 +67,16 @@ func startBlockPool(r *barrier, workers int) *blockPool {
 			scr := r.p.getKernelScratch()
 			defer r.p.putKernelScratch(scr)
 			for i := range pl.work {
-				// Once canceled, drain without computing, so a chaos Delay or a
-				// large kernel cannot stretch the cancellation latency past the
-				// in-flight block. An exact local solve only fails on a
-				// dimension mismatch, which the plan's construction rules out.
-				if !r.canceled() {
+				// Once canceled, drain blocks without computing, so a chaos
+				// Delay or a large kernel cannot stretch the cancellation
+				// latency past the in-flight block. An exact local solve only
+				// fails on a dimension mismatch, which the plan's construction
+				// rules out. Residual rows always run: the check reads them all.
+				switch {
+				case i < 0:
+					v := &r.p.views[^i]
+					residualRows(pl.resid, r.p.a, r.b, pl.x, v.lo, v.hi)
+				case !r.canceled():
 					d2, _ := r.exec(pl.iter, &pl.evs[i], w, nil, scr)
 					pl.delta.add(d2)
 				}
@@ -95,6 +104,17 @@ func (pl *blockPool) iterate(iter int, evs []sched.Event) (float64, error) {
 	}
 	pl.wg.Wait()
 	return pl.delta.load(), nil
+}
+
+// residualRows is the pool's residual pass (barrier.rows): one task per
+// plan block fills that block's rows of r with b − Ax.
+func (pl *blockPool) residualRows(r, x []float64) {
+	pl.resid, pl.x = r, x
+	for bi := range pl.r.p.views {
+		pl.wg.Add(1)
+		pl.work <- ^bi
+	}
+	pl.wg.Wait()
 }
 
 func (pl *blockPool) stop() {

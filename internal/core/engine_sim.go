@@ -165,9 +165,18 @@ func (c *countingReader) Load(j int) float64 {
 
 // residualInto computes ‖b−Ax‖₂ using r as scratch (len(b) elements).
 func residualInto(r []float64, a *sparse.CSR, b, x []float64) float64 {
-	a.MulVec(r, x)
-	vecmath.Sub(r, b, r)
+	residualRows(r, a, b, x, 0, len(b))
 	return vecmath.Nrm2(r)
+}
+
+// residualRows fills r[lo:hi] with the residual rows b_i − (Ax)_i: the one
+// residual formula of the exact checks, whichever executor runs them. Each
+// row is summed in CSR order, as sparse.CSR.MulVec sums it, so any split of
+// the rows into ranges yields the same bits.
+func residualRows(r []float64, a *sparse.CSR, b, x []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		r[i] = b[i] - a.RowDot(i, x)
+	}
 }
 
 func residual(a *sparse.CSR, b, x []float64) float64 {

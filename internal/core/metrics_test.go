@@ -57,8 +57,8 @@ func TestSolveMetricsSimulated(t *testing.T) {
 
 // TestSolveMetricsDoNotChangeResults pins the "observation is passive"
 // contract: an instrumented solve must produce bit-identical iterates to an
-// uninstrumented one with the same seed, even though Metrics forces
-// residual computation every iteration.
+// uninstrumented one with the same seed, even though Metrics and
+// OnResidual force residual computation every iteration.
 func TestSolveMetricsDoNotChangeResults(t *testing.T) {
 	a := mats.Trefethen(600)
 	b := onesRHS(a)
@@ -68,19 +68,22 @@ func TestSolveMetricsDoNotChangeResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	instrumented := base
-	instrumented.Metrics = NewSolveMetrics(metrics.NewRegistry(), 16)
-	obs, err := Solve(a, b, instrumented)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain.X {
-		if plain.X[i] != obs.X[i] {
-			t.Fatalf("x[%d] differs: %g (plain) vs %g (instrumented)", i, plain.X[i], obs.X[i])
+	withMetrics, withCallback := base, base
+	withMetrics.Metrics = NewSolveMetrics(metrics.NewRegistry(), 16)
+	withCallback.OnResidual = func(int, float64) {}
+	for name, instrumented := range map[string]Options{"Metrics": withMetrics, "OnResidual": withCallback} {
+		obs, err := Solve(a, b, instrumented)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if plain.GlobalIterations != obs.GlobalIterations {
-		t.Fatalf("iteration counts differ: %d vs %d", plain.GlobalIterations, obs.GlobalIterations)
+		for i := range plain.X {
+			if plain.X[i] != obs.X[i] {
+				t.Fatalf("%s: x[%d] differs: %g (plain) vs %g (instrumented)", name, i, plain.X[i], obs.X[i])
+			}
+		}
+		if plain.GlobalIterations != obs.GlobalIterations {
+			t.Fatalf("%s: iteration counts differ: %d vs %d", name, plain.GlobalIterations, obs.GlobalIterations)
+		}
 	}
 }
 

@@ -54,24 +54,35 @@ func TestResidualEveryConverges(t *testing.T) {
 }
 
 // TestResidualEveryDisabledByHistory pins the self-disabling rule: when the
-// per-iteration residual is itself an output (RecordHistory), the gate must
-// keep exact checks every iteration.
+// per-iteration residual is itself an output (RecordHistory, OnResidual),
+// the gate must keep exact checks every iteration.
 func TestResidualEveryDisabledByHistory(t *testing.T) {
 	a := mats.Trefethen(200)
 	b := make([]float64, a.Rows)
 	for i := range b {
 		b[i] = 1
 	}
-	res, err := Solve(a, b, Options{
+	opt := Options{
 		BlockSize: 64, LocalIters: 2, MaxGlobalIters: 40,
 		Tolerance: 1e-10, ResidualEvery: 7, RecordHistory: true, Seed: 3,
-	})
+	}
+	res, err := Solve(a, b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.History) != res.GlobalIterations {
 		t.Fatalf("history has %d entries for %d iterations; RecordHistory must disable the residual gate",
 			len(res.History), res.GlobalIterations)
+	}
+	calls := 0
+	opt.RecordHistory = false
+	opt.OnResidual = func(int, float64) { calls++ }
+	if res, err = Solve(a, b, opt); err != nil {
+		t.Fatal(err)
+	}
+	if calls != res.GlobalIterations {
+		t.Fatalf("OnResidual ran %d times in %d iterations; it must disable the residual gate",
+			calls, res.GlobalIterations)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 //
 //	engine                        scheduler                       executor
 //	EngineSimulated               wave: snapshots, race coins     inline
-//	EngineGoroutine               chaotic: live reads             pool
+//	EngineGoroutine               chaotic: live reads             pool (blocks and residual rows)
 //	SolveSharded                  chaotic: shard views            shards
 //	SolveSharded, Sequential      chaotic: shard views            inline
 //	Replay, EngineSimulated       replay: the capture's views     inline
@@ -30,7 +30,12 @@ import (
 // and what each one reads (IterateView). The executor decides where they
 // run: in order on the solve's goroutine (inline), on a pool of workers
 // (pool, engine_goroutine.go), or on one goroutine per shard (shards,
-// engine_shard.go). The chaos hooks, SkipBlock, the record tap and the
+// engine_shard.go). It also decides where the exact residual check's rows
+// b − Ax run: the pool's workers fill them after the barrier, one plan
+// block per task; the inline and shard executors fill them on the solve's
+// goroutine. Either way the norm is one serial Nrm2 in row order, so the
+// residual — and every stopping decision — has the same bits on every
+// executor. The chaos hooks, SkipBlock, the record tap and the
 // metrics counters live in the substrate, not in the engines. The
 // free-running engine has no global iterations and stays separate
 // (engine_freerun.go).
@@ -166,6 +171,12 @@ type barrier struct {
 	trace   *Trace
 	version []int
 
+	// rows is the executor's residual pass: it fills r with b − Ax
+	// (residualRows over row ranges) on the executor's own workers after
+	// the barrier. nil, the inline and shard executors' choice, fills the
+	// rows on the solve's goroutine.
+	rows func(r, x []float64)
+
 	is  *iterScratch
 	scr *kernelScratch // the inline executor's
 }
@@ -242,7 +253,7 @@ func runBarrier(r *barrier, iterate func(iter int, evs []sched.Event) (float64, 
 	if opt.RecordHistory {
 		res.History = make([]float64, 0, r.maxIters)
 	}
-	rs := newResidualState(opt, r.p.factors != nil, r.is.resid)
+	rs := newResidualState(opt, r.p.factors != nil, r.is.resid, r.rows)
 	for iter := 1; iter <= r.maxIters; iter++ {
 		var delta2 float64
 		err := ctxErr(opt.Ctx, iter-1)
@@ -279,7 +290,7 @@ func runBarrier(r *barrier, iterate func(iter int, evs []sched.Event) (float64, 
 	res.X = r.host()
 	res.Momentum = r.rule.prev
 	if !opt.RecordHistory && opt.Tolerance == 0 {
-		res.Residual = residualInto(rs.scratch, a, r.b, res.X)
+		res.Residual = rs.exact(a, r.b, res.X)
 	}
 	return res, nil
 }

@@ -115,7 +115,7 @@ func (s *Service) SubmitBatch(req BatchRequest) (*Job, error) {
 		return nil, ErrShuttingDown
 	}
 	id := fmt.Sprintf("job-%06d", s.nextID.Add(1))
-	j := newJob(id, sreq)
+	j := newJob(id, sreq, s.countOutcome)
 	j.cert = cert
 	j.batch = &req
 	s.jobs[id] = j

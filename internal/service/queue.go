@@ -63,12 +63,15 @@ func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCanceled
 }
 
-// Progress is a point-in-time snapshot of a running solve, updated at
-// every global-iteration barrier.
+// Progress is a point-in-time snapshot of a running solve, updated by
+// every exact residual check of the engine (core.Options.OnResidual): once
+// per global iteration.
 type Progress struct {
 	// GlobalIteration is the last completed global iteration.
 	GlobalIteration int `json:"global_iteration"`
-	// Residual is ‖b−Ax‖₂ at that iteration (0 until first measured).
+	// Residual is the engine's ‖b−Ax‖₂ at that iteration (0 until first
+	// measured); a finished block-asynchronous solve's last value equals
+	// its result's Residual.
 	Residual float64 `json:"residual"`
 	// NumBlocks is the subdomain count of the plan (0 until planned).
 	NumBlocks int `json:"num_blocks,omitempty"`
@@ -169,6 +172,10 @@ type Job struct {
 
 	done     chan struct{}
 	doneOnce sync.Once
+	// count, if non-nil, is told the terminal state once, before done
+	// closes, so a caller woken by Done already finds its job in the
+	// service's outcome counters.
+	count func(JobState)
 
 	// cert and gmresFallback are the admission pre-flight outcome, set in
 	// Submit before the job enters the queue (the channel send orders them
@@ -181,8 +188,8 @@ type Job struct {
 	batch *BatchRequest
 }
 
-func newJob(id string, req SolveRequest) *Job {
-	return &Job{id: id, req: req, created: time.Now(), done: make(chan struct{})}
+func newJob(id string, req SolveRequest, count func(JobState)) *Job {
+	return &Job{id: id, req: req, created: time.Now(), done: make(chan struct{}), count: count}
 }
 
 // ID returns the service-assigned job identifier.
@@ -288,7 +295,17 @@ func (j *Job) finish(result *JobResult, err error, canceled bool) {
 	}
 	j.finished = time.Now()
 	j.cancel = nil
+	st := j.state
 	j.mu.Unlock()
+	j.settle(st)
+}
+
+// settle publishes a terminal transition just made under j.mu: the outcome
+// count first, then Done.
+func (j *Job) settle(st JobState) {
+	if j.count != nil {
+		j.count(st)
+	}
 	j.doneOnce.Do(func() { close(j.done) })
 }
 
@@ -303,7 +320,7 @@ func (j *Job) Cancel(reason error) {
 		j.err = reason
 		j.finished = time.Now()
 		j.mu.Unlock()
-		j.doneOnce.Do(func() { close(j.done) })
+		j.settle(JobCanceled)
 	case JobRunning:
 		cancel := j.cancel
 		j.mu.Unlock()

@@ -489,7 +489,7 @@ func (s *Service) Submit(req SolveRequest) (*Job, error) {
 		return nil, ErrShuttingDown
 	}
 	id := fmt.Sprintf("job-%06d", s.nextID.Add(1))
-	j := newJob(id, req)
+	j := newJob(id, req, s.countOutcome)
 	j.cert, j.gmresFallback = cert, gmres
 	s.jobs[id] = j
 	s.order = append(s.order, id)
@@ -853,9 +853,7 @@ func (s *Service) runJob(j *Job) {
 	defer cancel()
 
 	if !j.start(cancel) {
-		// Canceled while queued.
-		s.cancels.Add(1)
-		return
+		return // canceled while queued, and counted then
 	}
 	started := time.Now()
 
@@ -883,7 +881,7 @@ func (s *Service) runJob(j *Job) {
 		result.WallTime = time.Since(started).Seconds()
 	}
 	s.wallHist.Observe(time.Since(started).Seconds())
-	s.finishJob(j, result, err)
+	j.finish(result, err, errors.Is(err, core.ErrCanceled))
 }
 
 // retryable reports whether a failed attempt is worth repeating: the
@@ -968,17 +966,8 @@ func (s *Service) runAttempt(ctx context.Context, j *Job, attempt int) (*JobResu
 	nb := plan.Prepared.NumBlocks()
 	s.perf.SetOccupancy(s.occupancy, nb)
 	j.setProgress(Progress{NumBlocks: nb, PlanHit: hit})
-	scratch := make([]float64, a.Rows)
-	opt.AfterIteration = func(iter int, x core.VectorAccess) {
-		for i := 0; i < x.Len(); i++ {
-			scratch[i] = x.Get(i)
-		}
-		j.setProgress(Progress{
-			GlobalIteration: iter,
-			Residual:        solver.Residual(a, b, scratch),
-			NumBlocks:       nb,
-			PlanHit:         hit,
-		})
+	opt.OnResidual = func(iter int, residual float64) {
+		j.setProgress(Progress{GlobalIteration: iter, Residual: residual, NumBlocks: nb, PlanHit: hit})
 	}
 
 	var res core.Result
@@ -1159,14 +1148,13 @@ func (s *Service) runGMRESFallback(j *Job, a *sparse.CSR, fp string, b []float64
 // solver — the paper's baseline GMRES(30) configuration.
 const gmresFallbackRestart = 30
 
-// finishJob records the terminal state and bumps the outcome counters.
-func (s *Service) finishJob(j *Job, result *JobResult, err error) {
-	canceled := err != nil && errors.Is(err, core.ErrCanceled)
-	j.finish(result, err, canceled)
-	switch {
-	case canceled:
+// countOutcome bumps the outcome counter of a job's terminal state; each
+// job calls it once, before its Done channel closes.
+func (s *Service) countOutcome(st JobState) {
+	switch st {
+	case JobCanceled:
 		s.cancels.Add(1)
-	case err != nil:
+	case JobFailed:
 		s.fails.Add(1)
 	default:
 		s.dones.Add(1)

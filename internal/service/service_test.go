@@ -85,6 +85,12 @@ func TestServiceSolveLifecycle(t *testing.T) {
 	if v.State != "done" || v.Progress.GlobalIteration == 0 {
 		t.Fatalf("snapshot = %+v, want done with progress", v)
 	}
+	// Progress reports the engine's own residual check, so the finished
+	// job's last sample is its result.
+	if v.Progress.GlobalIteration != res.GlobalIterations || v.Progress.Residual != res.Residual {
+		t.Fatalf("progress at iteration %d residual %v, result at %d residual %v: want the same",
+			v.Progress.GlobalIteration, v.Progress.Residual, res.GlobalIterations, res.Residual)
+	}
 }
 
 func TestServiceWarmSolveHitsPlanCache(t *testing.T) {
@@ -179,6 +185,11 @@ func TestServiceCancelQueuedJob(t *testing.T) {
 	waitDone(t, queued)
 	if st := queued.State(); st != JobCanceled {
 		t.Fatalf("queued job state = %v, want canceled", st)
+	}
+	// Counted when it went terminal, not when a worker dequeues it: the
+	// blocker still holds the only worker.
+	if c := s.Stats().Canceled; c != 1 {
+		t.Errorf("canceled counter = %d after the queued job's Done, want 1", c)
 	}
 	if err := s.Cancel(blocker.ID()); err != nil {
 		t.Fatal(err)

@@ -411,10 +411,13 @@ func TestSessionStepStreamSSE(t *testing.T) {
 		t.Fatalf("result = %+v", results[0])
 	}
 	// The streamed samples must agree with the result: the last progress
-	// iteration is the converging one.
+	// frame is the converging iteration's own residual check.
 	last := progress[len(progress)-1]
 	if last.GlobalIteration != results[0].GlobalIterations {
 		t.Fatalf("last progress at iteration %d, result at %d", last.GlobalIteration, results[0].GlobalIterations)
+	}
+	if last.Residual != results[0].Residual {
+		t.Fatalf("last progress residual %v, result residual %v: want the same value", last.Residual, results[0].Residual)
 	}
 	if first := progress[0]; first.Residual <= last.Residual {
 		t.Fatalf("residual did not fall: first %g, last %g", first.Residual, last.Residual)

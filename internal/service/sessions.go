@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/certify"
 	"repro/internal/core"
-	"repro/internal/solver"
 	"repro/internal/sparse"
 	"repro/internal/vecmath"
 )
@@ -544,9 +543,11 @@ func (s *Service) CloseSession(id string) (SessionView, error) {
 
 // StepSession runs the next step of a session: admission (410 for
 // tombstones), serialization behind any earlier step, then one warm-started
-// solve. progress, when non-nil, receives the live residual after every
-// global iteration — the hook behind the streaming response modes; passing
-// it costs one extra SpMV per iteration, so plain steps leave it nil.
+// solve. progress, when non-nil, receives the engine's own exact residual
+// check after every global iteration (core.Options.OnResidual), so the last
+// sample equals the step's result — the hook behind the streaming response
+// modes. It adds no SpMV: the service's metrics sink already makes the
+// engine check every iteration.
 func (s *Service) StepSession(id string, req StepRequest, progress func(StepProgress)) (StepResult, error) {
 	ss, err := s.sessions.get(id)
 	if err != nil {
@@ -627,15 +628,8 @@ func (s *Service) runStep(ss *session, req StepRequest, progress func(StepProgre
 		opt.Seed = req.Seed
 	}
 	if progress != nil {
-		scratch := make([]float64, a.Rows)
-		opt.AfterIteration = func(iter int, x core.VectorAccess) {
-			for i := 0; i < x.Len(); i++ {
-				scratch[i] = x.Get(i)
-			}
-			progress(StepProgress{
-				GlobalIteration: iter,
-				Residual:        solver.Residual(a, req.RHS, scratch),
-			})
+		opt.OnResidual = func(iter int, residual float64) {
+			progress(StepProgress{GlobalIteration: iter, Residual: residual})
 		}
 	}
 
