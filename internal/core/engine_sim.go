@@ -172,10 +172,16 @@ func residualInto(r []float64, a *sparse.CSR, b, x []float64) float64 {
 // residualRows fills r[lo:hi] with the residual rows b_i − (Ax)_i: the one
 // residual formula of the exact checks, whichever executor runs them. Each
 // row is summed in CSR order, as sparse.CSR.MulVec sums it, so any split of
-// the rows into ranges yields the same bits.
+// the rows into ranges yields the same bits. The CSR arrays are read into
+// locals so the inner loop does not reload them through a.
 func residualRows(r []float64, a *sparse.CSR, b, x []float64, lo, hi int) {
+	ptr, cols, vals := a.RowPtr, a.ColIdx, a.Val
 	for i := lo; i < hi; i++ {
-		r[i] = b[i] - a.RowDot(i, x)
+		var s float64
+		for p := ptr[i]; p < ptr[i+1]; p++ {
+			s += vals[p] * x[cols[p]]
+		}
+		r[i] = b[i] - s
 	}
 }
 

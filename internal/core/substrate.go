@@ -34,11 +34,11 @@ import (
 // b − Ax run: the pool's workers fill them after the barrier, one plan
 // block per task; the inline and shard executors fill them on the solve's
 // goroutine. Either way the norm is one serial Nrm2 in row order, so the
-// residual — and every stopping decision — has the same bits on every
-// executor. The chaos hooks, SkipBlock, the record tap and the
-// metrics counters live in the substrate, not in the engines. The
-// free-running engine has no global iterations and stays separate
-// (engine_freerun.go).
+// residual of an iterate — and the stopping decision on it — has the same
+// bits whichever executor computes it. The chaos hooks, SkipBlock, the
+// record tap and the metrics counters live in the substrate, not in the
+// engines. The free-running engine has no global iterations and stays
+// separate (engine_freerun.go).
 
 // IterateView is how a block execution observes components of the iterate:
 // the read-semantics half of the execution substrate. The simulated engine
