@@ -20,10 +20,18 @@ import (
 // matrices have equal fingerprints iff they are entry-wise identical.
 func Fingerprint(a *sparse.CSR) string {
 	h := sha256.New()
-	var buf [8]byte
+	// The little-endian words are staged through a fixed buffer: one
+	// h.Write per 8-byte word costs about as much as hashing it. The digest
+	// is that of the same byte stream.
+	var buf [4096]byte
+	n := 0
 	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+		if n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], v)
+		n += 8
 	}
 	put(uint64(a.Rows))
 	put(uint64(a.Cols))
@@ -36,6 +44,7 @@ func Fingerprint(a *sparse.CSR) string {
 	for _, v := range a.Val {
 		put(math.Float64bits(v))
 	}
+	h.Write(buf[:n])
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
