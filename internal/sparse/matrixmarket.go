@@ -2,10 +2,14 @@ package sparse
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Matrix Market I/O. Supports the subset of the format the UFMC collection
@@ -20,11 +24,26 @@ import (
 // paper uses.
 const maxMMDim = 1 << 24
 
+// maxMMHint caps the entries ReadMatrixMarket preallocates from a size
+// line's count (8 MiB of them): the count comes from outside the program,
+// so a line declaring billions of entries that never follow must not
+// allocate for them. Larger matrices grow the buffer as entries arrive.
+const maxMMHint = 1 << 19
+
 // ReadMatrixMarket parses a Matrix Market coordinate stream into CSR.
-// Symmetric files are expanded to full storage.
+// Symmetric files must be square and are expanded to full storage.
+// Entries that repeat a position are summed in file order, and a sum of
+// exactly zero is dropped. Up to two entries per position this gives the
+// bits of assembling through COO.ToCSR; for three or more, ToCSR sums in
+// whatever order its sort.Slice leaves them, which need not be file order.
+//
+// Nothing is allocated per entry: lines are scanned as bytes and split at
+// ASCII white space by hand (a line holding a non-ASCII byte goes through
+// strings.Fields, so Unicode white space still separates fields), and the
+// entries are sorted into their rows by counting instead of a global sort.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 
 	if !sc.Scan() {
 		return nil, fmt.Errorf("matrixmarket: empty input")
@@ -57,11 +76,11 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	// Skip comments, read the size line.
 	var rows, cols, nnz int
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '%' {
 			continue
 		}
-		if _, err := fmt.Sscan(line, &rows, &cols, &nnz); err != nil {
+		if _, err := fmt.Sscan(string(line), &rows, &cols, &nnz); err != nil {
 			return nil, fmt.Errorf("matrixmarket: bad size line %q: %v", line, err)
 		}
 		break
@@ -75,33 +94,41 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if nnz < 0 {
 		return nil, fmt.Errorf("matrixmarket: negative entry count %d", nnz)
 	}
+	if symmetric && rows != cols {
+		return nil, fmt.Errorf("matrixmarket: symmetric matrix must be square, have %dx%d", rows, cols)
+	}
 
-	coo := NewCOO(rows, cols)
+	want := 3
+	if pattern {
+		want = 2
+	}
+	hint := min(nnz, maxMMHint)
+	if symmetric {
+		hint = min(2*hint, maxMMHint)
+	}
+	ents := make([]mmEntry, 0, hint)
+	var fields [3][]byte
 	read := 0
 	for sc.Scan() && read < nnz {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '%' {
 			continue
 		}
-		f := strings.Fields(line)
-		want := 3
-		if pattern {
-			want = 2
-		}
+		f := appendFields(fields[:0], line, want)
 		if len(f) < want {
 			return nil, fmt.Errorf("matrixmarket: short entry line %q", line)
 		}
-		i, err := strconv.Atoi(f[0])
+		i, err := strconv.Atoi(string(f[0]))
 		if err != nil {
 			return nil, fmt.Errorf("matrixmarket: bad row index %q: %v", f[0], err)
 		}
-		j, err := strconv.Atoi(f[1])
+		j, err := strconv.Atoi(string(f[1]))
 		if err != nil {
 			return nil, fmt.Errorf("matrixmarket: bad col index %q: %v", f[1], err)
 		}
 		v := 1.0
 		if !pattern {
-			v, err = strconv.ParseFloat(f[2], 64)
+			v, err = strconv.ParseFloat(string(f[2]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("matrixmarket: bad value %q: %v", f[2], err)
 			}
@@ -109,10 +136,10 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		if i < 1 || i > rows || j < 1 || j > cols {
 			return nil, fmt.Errorf("matrixmarket: entry (%d,%d) out of range for %dx%d", i, j, rows, cols)
 		}
+		// maxMMDim keeps every index within int32.
+		ents = append(ents, mmEntry{int32(i - 1), int32(j - 1), v})
 		if symmetric && i != j {
-			coo.AddSym(i-1, j-1, v)
-		} else {
-			coo.Add(i-1, j-1, v)
+			ents = append(ents, mmEntry{int32(j - 1), int32(i - 1), v})
 		}
 		read++
 	}
@@ -122,7 +149,99 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if read < nnz {
 		return nil, fmt.Errorf("matrixmarket: expected %d entries, got %d", nnz, read)
 	}
-	return coo.ToCSR(), nil
+	return csrFromEntries(rows, cols, ents), nil
+}
+
+// mmEntry is one parsed entry, 0-based.
+type mmEntry struct {
+	i, j int32
+	v    float64
+}
+
+// appendFields appends the first want fields of line to dst, split at white
+// space as strings.Fields splits. An ASCII line is split in place; a
+// non-ASCII byte before the last wanted field ends sends the line through
+// strings.Fields, so Unicode white space still separates fields. (Bytes
+// after that point cannot change the first want fields.)
+func appendFields(dst [][]byte, line []byte, want int) [][]byte {
+	rest := line
+	for len(dst) < want {
+		k := 0
+		for k < len(rest) && asciiSpace[rest[k]] {
+			k++
+		}
+		rest = rest[k:]
+		if len(rest) == 0 {
+			break
+		}
+		k = 0
+		for ; k < len(rest) && !asciiSpace[rest[k]]; k++ {
+			if rest[k] >= utf8.RuneSelf {
+				dst = dst[:0]
+				for _, s := range strings.Fields(string(line)) {
+					if len(dst) == want {
+						break
+					}
+					dst = append(dst, []byte(s))
+				}
+				return dst
+			}
+		}
+		dst = append(dst, rest[:k])
+		rest = rest[k:]
+	}
+	return dst
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// csrFromEntries builds the CSR of entries given in file order, by
+// COO.ToCSR's rules (sorted columns, repeats summed, zero sums dropped)
+// without its global sort: a counting sort scatters the entries into their
+// rows in file order, and a stable sort per row orders the columns, so
+// repeats of a position are summed in file order.
+func csrFromEntries(rows, cols int, ents []mmEntry) *CSR {
+	// ptr[i] counts row i-1, then holds row i's start; the scatter advances
+	// it to row i's end.
+	ptr := make([]int, rows+1)
+	for _, e := range ents {
+		ptr[e.i+1]++
+	}
+	for i := range rows {
+		ptr[i+1] += ptr[i]
+	}
+	byRow := make([]mmEntry, len(ents))
+	for _, e := range ents {
+		byRow[ptr[e.i]] = e
+		ptr[e.i]++
+	}
+	// Compact each row in place (the write index never passes the read
+	// index); ptr[i] becomes the compacted row's end.
+	w, lo := 0, 0
+	for i := range rows {
+		row := byRow[lo:ptr[i]]
+		lo = ptr[i]
+		slices.SortStableFunc(row, func(a, b mmEntry) int { return cmp.Compare(a.j, b.j) })
+		for k := 0; k < len(row); {
+			e := row[k]
+			for k++; k < len(row) && row[k].j == e.j; k++ {
+				e.v += row[k].v
+			}
+			if e.v != 0 {
+				byRow[w] = e
+				w++
+			}
+		}
+		ptr[i] = w
+	}
+	copy(ptr[1:], ptr[:rows])
+	ptr[0] = 0
+	m := &CSR{Rows: rows, Cols: cols, RowPtr: ptr, ColIdx: make([]int, w), Val: make([]float64, w)}
+	for k, e := range byRow[:w] {
+		m.ColIdx[k], m.Val[k] = int(e.j), e.v
+	}
+	return m
 }
 
 // WriteMatrixMarket writes the matrix in "coordinate real general" format.

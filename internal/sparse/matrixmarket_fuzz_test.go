@@ -2,6 +2,10 @@ package sparse
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -83,9 +87,18 @@ func TestReadMatrixMarketRejectsHostileSizeLines(t *testing.T) {
 		{"huge-dims", "%%MatrixMarket matrix coordinate real general\n1000000000 1000000000 0\n"},
 		{"huge-cols", "%%MatrixMarket matrix coordinate real general\n2 999999999 0\n"},
 		{"negative-nnz", "%%MatrixMarket matrix coordinate real general\n2 2 -5\n"},
+		// The declared count only sizes a capped preallocation.
+		{"huge-nnz-none-follow", "%%MatrixMarket matrix coordinate real general\n2 2 2000000000\n"},
 	} {
-		if _, err := ReadMatrixMarket(strings.NewReader(tc.input)); err == nil {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadMatrixMarket(strings.NewReader(tc.input))
+		runtime.ReadMemStats(&after)
+		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+			t.Errorf("%s: allocated %d MiB before rejecting", tc.name, grew>>20)
 		}
 	}
 	// The bound itself is generous: a paper-scale matrix passes.
@@ -93,4 +106,73 @@ func TestReadMatrixMarketRejectsHostileSizeLines(t *testing.T) {
 	if _, err := ReadMatrixMarket(strings.NewReader(ok)); err != nil {
 		t.Fatalf("paper-scale matrix rejected: %v", err)
 	}
+}
+
+// FuzzReadMatrixMarketMatchesReference checks the reader against the
+// COO-based reference it replaced: the same inputs must fail with the same
+// error text, and accepted inputs must give the same CSR bits whenever no
+// position repeats more than twice (beyond that the reference summed in
+// sort.Slice's order, not in file order).
+func FuzzReadMatrixMarketMatchesReference(f *testing.F) {
+	f.Add(corpusMatrix())
+	f.Add("%%MatrixMarket matrix coordinate real general\n3 3 5\n3 1 1.5\n1 3 -2\n1 1 4\n3 1 0.25\n2 2 1e-300\n")
+	f.Add("%%MatrixMarket matrix coordinate real symmetric\n% mirrored pair\n3 3 4\n2 1 -0.75\n1 2 -0.1\n1 1 2\n3 3 3\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n2 1\n3 3\n3 2\n")
+	f.Add("%%MatrixMarket matrix coordinate integer general\n2 2 3\n1 1 7\n1 1 -7\n2 2 1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1\t1\v3.5 extra\r\n2 2\f-1e-3\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1\u00a01 3.5\n2\u20032 1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 3.5\u00a0x\n2 2 \xff\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 nan\n1 1 inf\n2 2 -inf\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 -5\n")
+	f.Add("%%MatrixMarket matrix coordinate real symmetric\n1 2 1\n1 2 1.0\n")
+	f.Add("")
+
+	f.Fuzz(func(t *testing.T, input string) {
+		got, err := ReadMatrixMarket(strings.NewReader(input))
+		coo, refErr := readMatrixMarketReferenceCOO(strings.NewReader(input))
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("error %v, reference error %v", err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		repeats := map[[2]int]int{}
+		for k := range coo.V {
+			p := [2]int{coo.I[k], coo.J[k]}
+			if repeats[p]++; repeats[p] > 2 {
+				return
+			}
+		}
+		if msg := csrBitsDiffer(got, coo.ToCSR()); msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}
+
+// csrBitsDiffer describes the first difference between two CSR matrices,
+// comparing values by their bits; "" when they are identical.
+func csrBitsDiffer(a, b *CSR) string {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return fmt.Sprintf("dimensions %dx%d, reference %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	if !slices.Equal(a.RowPtr, b.RowPtr) {
+		return fmt.Sprintf("row pointers %v, reference %v", a.RowPtr, b.RowPtr)
+	}
+	if !slices.Equal(a.ColIdx, b.ColIdx) {
+		return fmt.Sprintf("columns %v, reference %v", a.ColIdx, b.ColIdx)
+	}
+	if len(a.Val) != len(b.Val) {
+		return fmt.Sprintf("%d values, reference %d", len(a.Val), len(b.Val))
+	}
+	for k := range a.Val {
+		if math.Float64bits(a.Val[k]) != math.Float64bits(b.Val[k]) {
+			return fmt.Sprintf("value %d is %v, reference %v", k, a.Val[k], b.Val[k])
+		}
+	}
+	return ""
 }

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -74,11 +75,39 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 		{"outofrange", "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n"},
 		{"short", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n"},
 		{"badvalue", "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 xyz\n"},
+		// The mirror of (1,2) would be row 2 of a one-row matrix.
+		{"symmetric-nonsquare", "%%MatrixMarket matrix coordinate real symmetric\n1 2 1\n1 2 1.0\n"},
 	}
 	for _, c := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(c.in)); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
+	}
+}
+
+// TestReadMatrixMarketAllocatesPerMatrix: the reader's allocations do not
+// grow with the entry count (lines are split in place and parsed without
+// string copies).
+func TestReadMatrixMarketAllocatesPerMatrix(t *testing.T) {
+	tridiagonal := func(n int) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n", n, n, 3*n-2)
+		for i := n; i >= 1; i-- { // rows last to first, each row's columns descending
+			for j := min(i+1, n); j >= max(i-1, 1); j-- {
+				fmt.Fprintf(&b, "%d %d %.17g\n", i, j, 1/float64(i+j))
+			}
+		}
+		return b.String()
+	}
+	allocs := func(payload string) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := ReadMatrixMarket(strings.NewReader(payload)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(tridiagonal(100)), allocs(tridiagonal(1000)); large > small {
+		t.Errorf("%v allocations for 298 entries, %v for 2998", small, large)
 	}
 }
 
