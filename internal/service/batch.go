@@ -115,8 +115,9 @@ func (s *Service) SubmitBatch(req BatchRequest) (*Job, error) {
 		return nil, ErrShuttingDown
 	}
 	id := fmt.Sprintf("job-%06d", s.nextID.Add(1))
-	j := newJob(id, sreq, s.countOutcome)
+	j := newJob(id, sreq, a, fp, s.countOutcome)
 	j.cert = cert
+	req.MatrixMarket = ""
 	j.batch = &req
 	s.jobs[id] = j
 	s.order = append(s.order, id)
@@ -143,12 +144,8 @@ func (s *Service) SubmitBatch(req BatchRequest) (*Job, error) {
 // problems) or when every single system failed — a fully doomed batch
 // should look failed, not quietly "done with zero converged".
 func (s *Service) runBatchAttempt(ctx context.Context, j *Job) (*JobResult, error) {
-	req := *j.batch
-	a, fp, err := s.resolveMatrix(req.SolverSpec)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := s.resolve(req.SolverSpec, a, fp, req.RHS[0], core.Options{Ctx: ctx})
+	req, fp := *j.batch, j.fp
+	rs, err := s.resolve(req.SolverSpec, j.a, fp, req.RHS[0], core.Options{Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/certify"
+	"repro/internal/sparse"
 )
 
 // Sentinel errors of the job queue.
@@ -156,8 +157,17 @@ type JobView struct {
 // Job is one submitted solve moving through the queue. All mutation goes
 // through its methods; concurrent Snapshot/Cancel are safe.
 type Job struct {
-	id  string
+	id string
+	// req is the submitted request without its Matrix Market text: the job
+	// keeps the operator parsed from it instead (a).
 	req SolveRequest
+	// a and fp are the operator and fingerprint Submit resolved for
+	// admission, set before the queue send. Every attempt solves a, so an
+	// upload is parsed and hashed once per job. The terminal transition
+	// drops a (under mu), so a finished job holds neither the text nor the
+	// operator; the worker reads it only while the job is running.
+	a  *sparse.CSR
+	fp string
 
 	mu       sync.Mutex
 	state    JobState
@@ -188,15 +198,13 @@ type Job struct {
 	batch *BatchRequest
 }
 
-func newJob(id string, req SolveRequest, count func(JobState)) *Job {
-	return &Job{id: id, req: req, created: time.Now(), done: make(chan struct{}), count: count}
+func newJob(id string, req SolveRequest, a *sparse.CSR, fp string, count func(JobState)) *Job {
+	req.MatrixMarket = ""
+	return &Job{id: id, req: req, a: a, fp: fp, created: time.Now(), done: make(chan struct{}), count: count}
 }
 
 // ID returns the service-assigned job identifier.
 func (j *Job) ID() string { return j.id }
-
-// Request returns the submitted request (value copy).
-func (j *Job) Request() SolveRequest { return j.req }
 
 // State returns the current lifecycle state.
 func (j *Job) State() JobState {
@@ -295,6 +303,7 @@ func (j *Job) finish(result *JobResult, err error, canceled bool) {
 	}
 	j.finished = time.Now()
 	j.cancel = nil
+	j.a = nil
 	st := j.state
 	j.mu.Unlock()
 	j.settle(st)
@@ -319,6 +328,7 @@ func (j *Job) Cancel(reason error) {
 		j.state = JobCanceled
 		j.err = reason
 		j.finished = time.Now()
+		j.a = nil
 		j.mu.Unlock()
 		j.settle(JobCanceled)
 	case JobRunning:

@@ -489,7 +489,7 @@ func (s *Service) Submit(req SolveRequest) (*Job, error) {
 		return nil, ErrShuttingDown
 	}
 	id := fmt.Sprintf("job-%06d", s.nextID.Add(1))
-	j := newJob(id, req, s.countOutcome)
+	j := newJob(id, req, a, fp, s.countOutcome)
 	j.cert, j.gmresFallback = cert, gmres
 	s.jobs[id] = j
 	s.order = append(s.order, id)
@@ -636,7 +636,9 @@ func (s *Service) validate(req SolveRequest) error {
 
 // resolveMatrix returns the system matrix and its fingerprint. Named
 // matrices are generated and fingerprinted once, then served from a
-// per-service cache; inline payloads are parsed and hashed per call.
+// per-service cache. Inline payloads are parsed and hashed per call, and
+// it is called once per job or session, at admission: the job or session
+// keeps the operator for every attempt or step.
 func (s *Service) resolveMatrix(req SolverSpec) (*sparse.CSR, string, error) {
 	if req.Matrix != "" {
 		s.mu.Lock()
@@ -905,19 +907,15 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// runAttempt performs one solve attempt: resolve the matrix, get or
-// build the plan (the cache hit is what a warm daemon buys), then
-// iterate with the job's context threaded into the engine.
+// runAttempt performs one solve attempt on the operator admitted with the
+// job: get or build the plan (the cache hit is what a warm daemon buys),
+// then iterate with the job's context threaded into the engine.
 func (s *Service) runAttempt(ctx context.Context, j *Job, attempt int) (*JobResult, error) {
 	if j.batch != nil {
 		return s.runBatchAttempt(ctx, j)
 	}
-	req := j.req
+	req, a, fp := j.req, j.a, j.fp
 
-	a, fp, err := s.resolveMatrix(req.SolverSpec)
-	if err != nil {
-		return nil, err
-	}
 	engine, err := parseEngine(req.Engine)
 	if err != nil {
 		return nil, err

@@ -197,6 +197,107 @@ func TestServiceCancelQueuedJob(t *testing.T) {
 	waitDone(t, blocker)
 }
 
+// TestUploadJobReleasesOperator: an upload is parsed once, at admission.
+// The job keeps the operator in place of the Matrix Market text, every
+// attempt solves it, and every terminal path drops it. The retried row
+// finishes two attempts with no text left to parse, so retries reuse the
+// operator.
+func TestUploadJobReleasesOperator(t *testing.T) {
+	notConverging := func(t *testing.T) SolveRequest {
+		req := quickRequest(t)
+		req.MaxGlobalIters = 3 // far too few for 1e-10
+		return req
+	}
+	submit := func(t *testing.T, s *Service, req SolveRequest) *Job {
+		t.Helper()
+		j, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		run      func(t *testing.T, s *Service) *Job
+		state    JobState
+		attempts int
+	}{
+		{"done", Config{}, func(t *testing.T, s *Service) *Job {
+			return submit(t, s, quickRequest(t))
+		}, JobDone, 1},
+		{"failed", Config{}, func(t *testing.T, s *Service) *Job {
+			return submit(t, s, notConverging(t))
+		}, JobFailed, 1},
+		{"retried", Config{MaxAttempts: 2, RetryBaseDelay: time.Millisecond}, func(t *testing.T, s *Service) *Job {
+			return submit(t, s, notConverging(t))
+		}, JobFailed, 2},
+		{"canceled-queued", Config{}, func(t *testing.T, s *Service) *Job {
+			submit(t, s, slowRequest(t)) // holds the only worker until shutdown
+			j := submit(t, s, quickRequest(t))
+			if err := s.Cancel(j.ID()); err != nil {
+				t.Fatal(err)
+			}
+			return j
+		}, JobCanceled, 0},
+		{"canceled-by-shutdown", Config{}, func(t *testing.T, s *Service) *Job {
+			j := submit(t, s, slowRequest(t))
+			deadline := time.Now().Add(30 * time.Second)
+			for j.Snapshot().Progress.GlobalIteration < 1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("job never progressed (state %v, err %v)", j.State(), j.Err())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := s.Shutdown(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Shutdown = %v, want context.Canceled", err)
+			}
+			return j
+		}, JobCanceled, 1},
+		{"batch", Config{}, func(t *testing.T, s *Service) *Job {
+			j, err := s.SubmitBatch(quickBatchRequest(t, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j
+		}, JobDone, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Workers, tc.cfg.QueueDepth = 1, 4
+			s := New(tc.cfg)
+			defer func() {
+				// A canceled context cancels whatever still runs (the
+				// canceled-queued row's blocker).
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				s.Shutdown(ctx)
+			}()
+			j := tc.run(t, s)
+			waitDone(t, j)
+			if st := j.State(); st != tc.state {
+				t.Fatalf("state = %v (%v), want %v", st, j.Err(), tc.state)
+			}
+			if n := j.Snapshot().Attempts; n != tc.attempts {
+				t.Errorf("attempts = %d, want %d", n, tc.attempts)
+			}
+			j.mu.Lock()
+			a, text := j.a, j.req.MatrixMarket
+			if j.batch != nil {
+				text += j.batch.MatrixMarket
+			}
+			j.mu.Unlock()
+			if text != "" {
+				t.Errorf("the stored request keeps %d bytes of Matrix Market text", len(text))
+			}
+			if a != nil {
+				t.Error("the finished job still holds its operator")
+			}
+		})
+	}
+}
+
 func TestServiceQueueFull(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1})
 	defer s.Shutdown(context.Background())
