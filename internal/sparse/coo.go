@@ -7,8 +7,8 @@ import (
 
 // COO is a coordinate-format sparse matrix builder. Entries may be added in
 // any order; duplicates are summed when converting to CSR. COO is the
-// assembly format — generators and the Matrix Market reader build a COO and
-// convert once.
+// assembly format — generators build a COO and convert once (the Matrix
+// Market reader sorts its entries into CSR rows directly).
 type COO struct {
 	Rows, Cols int
 	I, J       []int

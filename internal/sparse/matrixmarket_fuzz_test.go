@@ -134,7 +134,7 @@ func FuzzReadMatrixMarketMatchesReference(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, input string) {
 		got, err := ReadMatrixMarket(strings.NewReader(input))
-		coo, refErr := readMatrixMarketReferenceCOO(strings.NewReader(input))
+		coo, refErr := readMatrixMarketReference(strings.NewReader(input))
 		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
 			t.Fatalf("error %v, reference error %v", err, refErr)
 		}

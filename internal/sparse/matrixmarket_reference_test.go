@@ -10,19 +10,10 @@ import (
 
 // readMatrixMarketReference is the COO-based Matrix Market reader that
 // ReadMatrixMarket replaced, kept as the reference the equivalence tests
-// compare against: every entry is appended to a COO builder, symmetric
-// off-diagonals through AddSym, and COO.ToCSR sorts, sums and compacts.
-func readMatrixMarketReference(r io.Reader) (*CSR, error) {
-	coo, err := readMatrixMarketReferenceCOO(r)
-	if err != nil {
-		return nil, err
-	}
-	return coo.ToCSR(), nil
-}
-
-// readMatrixMarketReferenceCOO parses the stream into the unsummed COO
-// builder, whose entries tell how often each position repeats.
-func readMatrixMarketReferenceCOO(r io.Reader) (*COO, error) {
+// compare against. It returns the unsummed COO builder (symmetric
+// off-diagonals added through AddSym): its ToCSR is the reference CSR,
+// and its entries tell how often each position repeats.
+func readMatrixMarketReference(r io.Reader) (*COO, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 
