@@ -38,9 +38,10 @@ const maxMMHint = 1 << 19
 // whatever order its sort.Slice leaves them, which need not be file order.
 //
 // Nothing is allocated per entry: lines are scanned as bytes and split at
-// ASCII white space by hand (a line holding a non-ASCII byte goes through
-// strings.Fields, so Unicode white space still separates fields), and the
-// entries are sorted into their rows by counting instead of a global sort.
+// ASCII white space by hand (a non-ASCII byte among the fields sends the
+// line through strings.Fields, so Unicode white space still separates
+// them), and the entries are sorted into their rows by counting instead
+// of a global sort.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)

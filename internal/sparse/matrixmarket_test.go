@@ -3,6 +3,7 @@ package sparse
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -99,12 +100,18 @@ func TestReadMatrixMarketAllocatesPerMatrix(t *testing.T) {
 		}
 		return b.String()
 	}
+	// The minimum over runs: the runtime adds stray allocations to some
+	// runs (more often under -race), never fewer.
 	allocs := func(payload string) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, err := ReadMatrixMarket(strings.NewReader(payload)); err != nil {
-				t.Fatal(err)
-			}
-		})
+		best := math.Inf(1)
+		for range 10 {
+			best = min(best, testing.AllocsPerRun(1, func() {
+				if _, err := ReadMatrixMarket(strings.NewReader(payload)); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return best
 	}
 	if small, large := allocs(tridiagonal(100)), allocs(tridiagonal(1000)); large > small {
 		t.Errorf("%v allocations for 298 entries, %v for 2998", small, large)
