@@ -146,6 +146,11 @@ func runCase(c benchCase) (CaseResult, error) {
 		return res, err
 	}
 
+	// Settle the heap once per case, not per rep: a collection empties the
+	// plan's scratch pools, and the solve after it counts their refill as
+	// its own allocations. The first rep fills the pools; the later reps
+	// count what a warm plan allocates.
+	runtime.GC()
 	best := -1.0
 	for rep := 0; rep < c.Reps; rep++ {
 		iters, elapsed, allocB, allocN, err := runOnce(plan, a, b, c)
@@ -187,9 +192,6 @@ func runCase(c benchCase) (CaseResult, error) {
 }
 
 func runOnce(plan *core.Plan, a *sparse.CSR, b []float64, c benchCase) (int, float64, uint64, uint64, error) {
-	// Settle the heap so the measured delta is this solve's allocations,
-	// not a concurrent background sweep's.
-	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()

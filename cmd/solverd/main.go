@@ -1,7 +1,8 @@
 // Command solverd serves block-asynchronous solves over HTTP: a bounded
 // job queue drained by a solver worker pool, with a per-matrix plan cache
 // that amortizes setup (block partition, block views, inverse diagonal,
-// subdomain LU factors, spectral pre-flight analysis) across requests.
+// subdomain LU factors) across requests and a certificate cache that
+// certifies each matrix once.
 //
 // Endpoints:
 //
@@ -67,7 +68,7 @@ func main() {
 		queueDepth   = flag.Int("queue-depth", 64, "bounded job queue depth")
 		cacheEntries = flag.Int("cache-entries", 64, "plan cache entry bound (negative: unlimited)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "plan cache byte bound (0: unlimited)")
-		analyze      = flag.Bool("analyze", true, "compute the spectral pre-flight report per plan")
+		analyze      = flag.Bool("analyze", true, "render each solve's analysis advice from the matrix's convergence certificate (certified once per matrix)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "default per-job wall-time bound (0: none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown drain bound before canceling jobs")
 		maxAttempts  = flag.Int("max-attempts", 1, "runs per job before a divergent/non-converged failure is terminal")

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/certify"
 	"repro/internal/sparse"
+	"repro/internal/spectral"
 )
 
 // CertificateError is the admission refusal of a certify=enforce request:
@@ -195,6 +196,50 @@ func (s *Service) admitCertified(spec SolverSpec, fallback bool, a *sparse.CSR, 
 		return &cert, false, &CertificateError{Certificate: cert}
 	}
 	return &cert, false, nil
+}
+
+// analysis renders a solve job's Analysis advice (CacheConfig.
+// AnalyzeSpectrum): the paper's §2.2/§3.1 pre-flight, read off the
+// matrix's certificate. A job admitted under certify=warn or enforce
+// carries its certificate; any other job takes it from the certificate
+// cache with the admission options, so one coalesced certification per
+// fingerprint serves both. The advice never gates the solve: a
+// certification error leaves it empty.
+func (s *Service) analysis(j *Job, a *sparse.CSR, fp string) string {
+	cert := j.cert
+	if cert == nil {
+		c, _, err := s.cache.GetOrCertify(a, fp, certify.Options{Seed: s.cache.cfg.Seed})
+		if err != nil {
+			return ""
+		}
+		cert = &c
+	}
+	var tau float64
+	if cert.Verdict == certify.VerdictDiverges {
+		// An estimate that fails (the matrix is not SPD-normalizable)
+		// leaves the τ advice out.
+		tau, _ = spectral.TauScaling(a, s.cache.cfg.SpectralSteps, s.cache.cfg.Seed)
+	}
+	return analysisText(*cert, tau)
+}
+
+// analysisText renders a certificate as the advice the paper gives per
+// system: Strikwerda's guarantee on a Converges verdict, its absence on
+// Unknown, and on Diverges the reason plus — when tau > 0 — the scaled
+// iteration with τ = 2/(λ₁+λₙ) of §4.2.
+func analysisText(cert certify.Certificate, tau float64) string {
+	switch cert.Verdict {
+	case certify.VerdictConverges:
+		return fmt.Sprintf("rho(|B|)=%.4f: asynchronous convergence guaranteed (Strikwerda; %s)", cert.RhoEstimate, cert.Class)
+	case certify.VerdictDiverges:
+		s := "plain relaxation diverges (" + cert.Reason + ")"
+		if tau > 0 {
+			s += fmt.Sprintf("; use the scaled iteration with tau=%.4f (paper §4.2)", tau)
+		}
+		return s
+	default:
+		return fmt.Sprintf("rho(|B|)=%.4f: asynchronous convergence not guaranteed for all schedules (%s)", cert.RhoEstimate, cert.Reason)
+	}
 }
 
 // errCertificate extracts a CertificateError from an error chain, nil when

@@ -6,10 +6,11 @@
 // The paper's economics motivate the cache: once a subdomain's state is
 // resident, additional local iterations "almost come for free" (§4.3). The
 // host-side analogue is the per-matrix setup — block partition, block CSR
-// views, inverse diagonal, dense LU factors for exact local solves,
-// spectral pre-flight analysis — which a one-shot call rebuilds on every
-// solve. A daemon serving repeated solves of the same operators (time
-// stepping, parameter sweeps, preconditioner applications) pays it once.
+// views, inverse diagonal, dense LU factors for exact local solves — which
+// a one-shot call rebuilds on every solve. A daemon serving repeated
+// solves of the same operators (time stepping, parameter sweeps,
+// preconditioner applications) pays it once per plan shape, whatever the
+// local iterations, ω, method or β of each solve.
 //
 // The same fingerprint key also caches auto-tuner results (tune.go):
 // a job with "tune": "auto" runs the internal/tune parameter search the

@@ -49,21 +49,15 @@ func Fingerprint(a *sparse.CSR) string {
 }
 
 // PlanKey identifies one cacheable plan: a matrix (by fingerprint) plus
-// the option subset that shapes the precomputed artifacts. LocalIters and
-// Omega do not change the artifacts themselves but are part of the key so
-// a cached entry corresponds to exactly one solver configuration — the
-// unit /statsz reports on.
+// the option subset that shapes the precomputed artifacts. The solver
+// configuration a plan serves — local iterations, ω, update rule and β —
+// is not part of it: core.Plan holds none of them, so every configuration
+// of one shape shares one plan. /statsz counts solves per kernel and per
+// method, not per plan.
 type PlanKey struct {
 	Fingerprint string
 	BlockSize   int
-	LocalIters  int
 	ExactLocal  bool
-	Omega       float64
-	// Method and Beta identify the update rule the configuration solves
-	// with. Like LocalIters and Omega they do not change the precomputed
-	// artifacts, but a cached entry corresponds to one solver configuration.
-	Method core.RuleKind
-	Beta   float64
 	// Kernel is the requested sweep-kernel dispatch. KernelAuto and an
 	// explicit kind are distinct keys even when auto-detection resolves to
 	// the same kernel — the key records what was asked, the plan what was
@@ -78,8 +72,7 @@ type PlanKey struct {
 
 // String renders the key compactly for logs.
 func (k PlanKey) String() string {
-	s := fmt.Sprintf("%s/bs%d/k%d/exact=%t/omega=%g/method=%s/beta=%g/kernel=%s",
-		k.Fingerprint, k.BlockSize, k.LocalIters, k.ExactLocal, k.Omega, k.Method, k.Beta, k.Kernel)
+	s := fmt.Sprintf("%s/bs%d/exact=%t/kernel=%s", k.Fingerprint, k.BlockSize, k.ExactLocal, k.Kernel)
 	if k.Stencil != "" {
 		s += "/stencil=" + k.Stencil
 	}
@@ -128,16 +121,11 @@ func parseStencilKey(s string) (*sparse.StencilSpec, error) {
 	return &sp, nil
 }
 
-// Plan is one cached entry: the core solve plan plus the pre-flight
-// convergence analysis, with its estimated resident size.
+// Plan is one cached entry: the core solve plan with its estimated
+// resident size.
 type Plan struct {
 	Key      PlanKey
 	Prepared *core.Plan
-	// Report is the paper's §2.2/§3.1 pre-flight analysis, computed once
-	// per plan when the cache's AnalyzeSpectrum option is set; the zero
-	// value otherwise. HasReport distinguishes the two.
-	Report    core.ConvergenceReport
-	HasReport bool
 	// Bytes is the estimated resident size used for LRU accounting.
 	Bytes int64
 }
@@ -151,13 +139,15 @@ type CacheConfig struct {
 	// recently used entry is never evicted, so a single plan larger than
 	// MaxBytes still caches (and is evicted by the next insertion).
 	MaxBytes int64
-	// AnalyzeSpectrum computes a CheckConvergence report at plan build
-	// time (spectral estimation; skipped when false).
+	// AnalyzeSpectrum fills a solve job's Analysis advice from the
+	// matrix's convergence certificate — the admission certificate when
+	// the job has one, else one certification per fingerprint from the
+	// certificate cache (see certify.go). Skipped when false.
 	AnalyzeSpectrum bool
-	// SpectralSteps bounds the τ-estimation effort of the report
-	// (default 32).
+	// SpectralSteps bounds the Lanczos effort of the §4.2 τ advice, which
+	// runs only on a Diverges verdict (default 32).
 	SpectralSteps int
-	// Seed drives the spectral estimators (default 1).
+	// Seed drives the certifier, the tuner and the τ estimate (default 1).
 	Seed int64
 }
 
@@ -238,8 +228,8 @@ func NewPlanCache(cfg CacheConfig) *PlanCache {
 }
 
 // KeyFor derives the PlanKey of a matrix/option pair with the automatic
-// kernel dispatch, normalizing the option fields the same way the solver
-// does (Omega 0 means 1; LocalIters is irrelevant under ExactLocal).
+// kernel dispatch. Only the plan-shaping options (BlockSize, ExactLocal)
+// enter the key.
 func KeyFor(a *sparse.CSR, opt core.Options) PlanKey {
 	return KeyForKernel(a, opt, core.KernelAuto)
 }
@@ -250,22 +240,10 @@ func KeyForKernel(a *sparse.CSR, opt core.Options, kernel core.KernelKind) PlanK
 }
 
 func keyWithFingerprint(fp string, opt core.Options, kernel core.KernelKind, stencil *sparse.StencilSpec) PlanKey {
-	omega := opt.Omega
-	if omega == 0 {
-		omega = 1
-	}
-	localIters := opt.LocalIters
-	if opt.ExactLocal {
-		localIters = 0
-	}
 	return PlanKey{
 		Fingerprint: fp,
 		BlockSize:   opt.BlockSize,
-		LocalIters:  localIters,
 		ExactLocal:  opt.ExactLocal,
-		Omega:       omega,
-		Method:      opt.Method,
-		Beta:        opt.Beta,
 		Kernel:      kernel,
 		Stencil:     stencilKey(stencil),
 	}
@@ -345,15 +323,7 @@ func (c *PlanCache) build(a *sparse.CSR, key PlanKey) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: building plan %v: %w", key, err)
 	}
-	p := &Plan{Key: key, Prepared: prepared, Bytes: prepared.MemoryBytes()}
-	if c.cfg.AnalyzeSpectrum {
-		// Best effort: a failed spectral estimate (e.g. power-method
-		// stagnation) must not block solving — the report is advisory.
-		if rep, err := core.CheckConvergence(a, c.cfg.SpectralSteps, c.cfg.Seed); err == nil {
-			p.Report, p.HasReport = rep, true
-		}
-	}
-	return p, nil
+	return &Plan{Key: key, Prepared: prepared, Bytes: prepared.MemoryBytes()}, nil
 }
 
 // insertLocked adds the freshly built plan and evicts from the LRU tail

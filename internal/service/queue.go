@@ -105,8 +105,10 @@ type JobResult struct {
 	Devices        int     `json:"devices,omitempty"`
 	Strategy       string  `json:"strategy,omitempty"`
 	ModeledSeconds float64 `json:"modeled_seconds,omitempty"`
-	// Analysis echoes the plan's pre-flight convergence report when the
-	// cache computed one ("rho(B)=… asynchronous convergence guaranteed").
+	// Analysis is the paper's pre-flight advice, rendered from the
+	// matrix's convergence certificate when the cache's AnalyzeSpectrum
+	// is set ("rho(|B|)=… asynchronous convergence guaranteed"). It is
+	// advisory: empty when certification failed.
 	Analysis string `json:"analysis,omitempty"`
 	// Tuned reports the auto-tuned parameters of a "tune": "auto" job
 	// (nil for explicitly configured jobs).

@@ -661,12 +661,15 @@ func (s *Service) resolveMatrix(req SolverSpec) (*sparse.CSR, string, error) {
 		s.mu.Unlock()
 		return nm.a, nm.fp, nil
 	}
-	a, err := sparse.ReadMatrixMarket(strings.NewReader(req.MatrixMarket))
+	// The reader applies the row limit to the size line, before it sizes
+	// anything from it.
+	a, err := sparse.ReadMatrixMarketLimit(strings.NewReader(req.MatrixMarket), s.cfg.MaxMatrixRows)
+	var rl *sparse.RowLimitError
+	if errors.As(err, &rl) {
+		return nil, "", fmt.Errorf("service: inline matrix has %d rows, limit %d", rl.Rows, rl.Limit)
+	}
 	if err != nil {
 		return nil, "", fmt.Errorf("service: parsing matrix_market payload: %w", err)
-	}
-	if s.cfg.MaxMatrixRows > 0 && a.Rows > s.cfg.MaxMatrixRows {
-		return nil, "", fmt.Errorf("service: inline matrix has %d rows, limit %d", a.Rows, s.cfg.MaxMatrixRows)
 	}
 	if a.Rows != a.Cols {
 		return nil, "", fmt.Errorf("service: matrix must be square, have %dx%d", a.Rows, a.Cols)
@@ -960,6 +963,12 @@ func (s *Service) runAttempt(ctx context.Context, j *Job, attempt int) (*JobResu
 		return nil, err
 	}
 	opt, plan, hit := rs.opt, rs.plan, rs.hit
+	// The advice is settled before iterating, so a cancel still ends the
+	// job within one sweep.
+	var analysis string
+	if s.cache.cfg.AnalyzeSpectrum {
+		analysis = s.analysis(j, a, fp)
+	}
 
 	nb := plan.Prepared.NumBlocks()
 	s.perf.SetOccupancy(s.occupancy, nb)
@@ -990,6 +999,7 @@ func (s *Service) runAttempt(ctx context.Context, j *Job, attempt int) (*JobResu
 	result.NumBlocks = res.NumBlocks
 	result.Devices = req.Devices
 	result.ModeledSeconds = modeled
+	result.Analysis = analysis
 	if req.Devices > 0 {
 		result.Strategy = strat.String()
 	}
@@ -998,9 +1008,6 @@ func (s *Service) runAttempt(ctx context.Context, j *Job, attempt int) (*JobResu
 	}
 	if req.IncludeSolution {
 		result.X = res.X
-	}
-	if plan.HasReport {
-		result.Analysis = plan.Report.String()
 	}
 	if j.cert != nil && j.cert.PredictedIters > 0 {
 		result.PredictedVsActual = float64(res.GlobalIterations) / float64(j.cert.PredictedIters)

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -367,6 +368,43 @@ func TestServiceJobTimeout(t *testing.T) {
 	}
 	if err := j.Err(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded in chain", err)
+	}
+}
+
+// TestSubmitRowLimitBeforeSizing: an upload over MaxMatrixRows is refused
+// from its size line, before the reader sizes anything from it.
+func TestSubmitRowLimitBeforeSizing(t *testing.T) {
+	const header = "%%MatrixMarket matrix coordinate real general\n"
+	for _, tc := range []struct {
+		name    string
+		limit   int
+		payload string
+		want    string
+	}{
+		// 72 bytes declaring 2^24 rows under the default limit: sizing it
+		// before the limit applies would allocate 128 MiB of row pointers.
+		{"declared-2^24-rows", 0, header + "16777216 16777216 1\n1 1 1\n",
+			"service: inline matrix has 16777216 rows, limit 1048576"},
+		{"configured-limit", 512, header + "513 513 1\n1 1 1\n",
+			"service: inline matrix has 513 rows, limit 512"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Workers: 1, QueueDepth: 1, MaxMatrixRows: tc.limit})
+			defer s.Shutdown(context.Background())
+			req := SolveRequest{SolverSpec: SolverSpec{
+				MatrixMarket: tc.payload, BlockSize: 8, LocalIters: 1, MaxGlobalIters: 1,
+			}}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := s.Submit(req)
+			runtime.ReadMemStats(&after)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("Submit error = %v, want %q", err, tc.want)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("Submit allocated %d KiB before refusing", grew>>10)
+			}
+		})
 	}
 }
 

@@ -43,6 +43,25 @@ const maxMMHint = 1 << 19
 // them), and the entries are sorted into their rows by counting instead
 // of a global sort.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
+	return ReadMatrixMarketLimit(r, 0)
+}
+
+// RowLimitError is ReadMatrixMarketLimit's refusal of a size line that
+// declares more rows than the caller allows.
+type RowLimitError struct {
+	Rows, Limit int
+}
+
+// Error implements the error interface.
+func (e *RowLimitError) Error() string {
+	return fmt.Sprintf("matrixmarket: %d rows exceed the limit %d", e.Rows, e.Limit)
+}
+
+// ReadMatrixMarketLimit is ReadMatrixMarket with a caller's row bound:
+// a size line declaring more than maxRows rows fails with a
+// *RowLimitError before anything is sized from it. maxRows <= 0 leaves
+// only the reader's own bound.
+func ReadMatrixMarketLimit(r io.Reader, maxRows int) (*CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 
@@ -91,6 +110,9 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	}
 	if rows > maxMMDim || cols > maxMMDim {
 		return nil, fmt.Errorf("matrixmarket: dimensions %dx%d exceed the supported bound %d", rows, cols, maxMMDim)
+	}
+	if maxRows > 0 && rows > maxRows {
+		return nil, &RowLimitError{Rows: rows, Limit: maxRows}
 	}
 	if nnz < 0 {
 		return nil, fmt.Errorf("matrixmarket: negative entry count %d", nnz)

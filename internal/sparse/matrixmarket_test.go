@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -82,6 +83,38 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(c.in)); err == nil {
 			t.Errorf("%s: expected error", c.name)
+		}
+	}
+}
+
+// TestReadMatrixMarketLimit: a caller's row bound refuses the size line
+// with a *RowLimitError; at the bound, and with no bound, the reader
+// accepts what ReadMatrixMarket accepts and fails as it fails.
+func TestReadMatrixMarketLimit(t *testing.T) {
+	const header = "%%MatrixMarket matrix coordinate real general\n"
+	for _, tc := range []struct {
+		name, in string
+		limit    int
+		want     *RowLimitError // nil: same outcome as ReadMatrixMarket
+	}{
+		{"over", header + "513 513 1\n1 1 1.0\n", 512, &RowLimitError{Rows: 513, Limit: 512}},
+		{"declared-2^24", header + "16777216 16777216 1\n1 1 1\n", 1 << 20, &RowLimitError{Rows: 1 << 24, Limit: 1 << 20}},
+		{"at", header + "512 512 1\n1 1 1.0\n", 512, nil},
+		{"unbounded", header + "513 513 1\n1 1 1.0\n", 0, nil},
+		{"beyond-reader-bound", header + "33554432 1 0\n", 1 << 20, nil},
+		{"bad-size-line", header + "x 2 1\n", 1, nil},
+	} {
+		_, err := ReadMatrixMarketLimit(strings.NewReader(tc.in), tc.limit)
+		if tc.want != nil {
+			var rl *RowLimitError
+			if !errors.As(err, &rl) || *rl != *tc.want {
+				t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+			}
+			continue
+		}
+		_, ref := ReadMatrixMarket(strings.NewReader(tc.in))
+		if fmt.Sprint(err) != fmt.Sprint(ref) {
+			t.Errorf("%s: err = %v, ReadMatrixMarket gives %v", tc.name, err, ref)
 		}
 	}
 }
