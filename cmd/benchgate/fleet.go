@@ -29,10 +29,10 @@ type FleetScenario struct {
 	Offered int `json:"offered"`
 	// Accepted is how many submissions were admitted (202) fleet-wide —
 	// the slot-capacity number the burst scenarios gate on.
-	Accepted  int `json:"accepted"`
-	Completed int `json:"completed"`
-	Shed      int `json:"shed"`
-	Errors    int `json:"errors"`
+	Accepted   int     `json:"accepted"`
+	Completed  int     `json:"completed"`
+	Shed       int     `json:"shed"`
+	Errors     int     `json:"errors"`
 	Throughput float64 `json:"throughput_jobs_per_sec"`
 	ShedRate   float64 `json:"shed_rate"`
 	E2EP50     float64 `json:"e2e_p50_seconds"`

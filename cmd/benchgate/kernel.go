@@ -21,13 +21,13 @@ import (
 // gates looser — its 63% interior fraction Amdahl-caps the win (the other
 // 37% of rows run the same packed CSR the baseline runs).
 type KernelScenario struct {
-	Name       string  `json:"name"`
-	Matrix     string  `json:"matrix"`
-	Kernel     string  `json:"kernel"`
-	N          int     `json:"n"`
-	BlockSize  int     `json:"block_size"`
-	LocalIters int     `json:"local_iters"`
-	Iterations int     `json:"iterations"`
+	Name       string `json:"name"`
+	Matrix     string `json:"matrix"`
+	Kernel     string `json:"kernel"`
+	N          int    `json:"n"`
+	BlockSize  int    `json:"block_size"`
+	LocalIters int    `json:"local_iters"`
+	Iterations int    `json:"iterations"`
 	// CSRSeconds and KernelSeconds are interleaved best-of-reps wall times
 	// (one rep of each kernel per round, so load bursts hit both alike).
 	CSRSeconds    float64 `json:"csr_seconds"`

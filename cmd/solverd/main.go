@@ -66,7 +66,7 @@ func main() {
 		addr         = flag.String("addr", ":8080", "HTTP listen address")
 		workers      = flag.Int("workers", 4, "solver worker pool size")
 		queueDepth   = flag.Int("queue-depth", 64, "bounded job queue depth")
-		cacheEntries = flag.Int("cache-entries", 64, "plan cache entry bound (negative: unlimited)")
+		cacheEntries = flag.Int("cache-entries", 64, "entry bound of each per-matrix cache: plans, certificates, tunings and named matrices (negative: unlimited)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "plan cache byte bound (0: unlimited)")
 		analyze      = flag.Bool("analyze", true, "render each solve's analysis advice from the matrix's convergence certificate (certified once per matrix)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "default per-job wall-time bound (0: none)")

@@ -551,10 +551,13 @@ func reachesAll(a *sparse.CSR, n int) bool {
 
 // jacobiRhoLower estimates ρ(B). For symmetric A (with the positive
 // diagonal already established by the caller's path) it power-iterates the
-// symmetrized iteration matrix I − D^{−1/2}AD^{−1/2} (similar to B) and
-// returns the largest |Rayleigh quotient| seen — a rigorous lower bound on
-// ρ(B), so proven=true. For nonsymmetric A it falls back to the seeded
-// power estimate, proven only if the estimator converged.
+// symmetrized iteration matrix S = I − D^{−1/2}AD^{−1/2} (similar to B) and
+// returns the largest ‖Sx‖₂ over the unit iterates x. For unit x,
+// |xᵀSx| ≤ ‖Sx‖₂ ≤ ‖S‖₂ = ρ(B), so this is a rigorous lower bound on ρ(B)
+// (proven=true) at least as large as the Rayleigh quotient, which cancels
+// toward 0 when S's spectrum is symmetric about 0. For nonsymmetric A it
+// falls back to the seeded power estimate, proven only if the estimator
+// converged.
 func jacobiRhoLower(a, b *sparse.CSR, opt Options) (rho float64, proven bool) {
 	iters := opt.MaxPowerIters
 	if iters > 512 {
@@ -580,13 +583,11 @@ func jacobiRhoLower(a, b *sparse.CSR, opt Options) (rho float64, proven bool) {
 				for i := range y {
 					y[i] = x[i] - y[i] // y = (I − N)x, N = D^{−1/2}AD^{−1/2}
 				}
-				if r := math.Abs(vecmath.Dot(x, y)); r > best {
-					best = r
-				}
 				nn = vecmath.Nrm2(y)
 				if nn == 0 {
 					break
 				}
+				best = max(best, nn)
 				vecmath.Copy(x, y)
 				vecmath.Scale(1/nn, x)
 			}

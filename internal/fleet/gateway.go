@@ -33,14 +33,6 @@ type GatewayConfig struct {
 	// Client issues the forwards (default: a client honoring
 	// ForwardTimeout).
 	Client *http.Client
-	// InlineKeyCache bounds the payload-hash → fingerprint routing cache
-	// (default 4096 entries).
-	InlineKeyCache int
-	// SessionRegistry bounds the gateway's session-tracking map (namespaced
-	// ID → owning node + fingerprint; default 16384 entries). Tracking is
-	// what turns a dead owner into an explicit 410 "session-lost" instead of
-	// a bare 404.
-	SessionRegistry int
 }
 
 func (c GatewayConfig) withDefaults() GatewayConfig {
@@ -96,8 +88,8 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		cfg:      cfg,
 		members:  NewMembership(cfg.Membership, reg),
 		reg:      reg,
-		resolver: newKeyResolver(cfg.InlineKeyCache),
-		sessions: newSessionRegistry(cfg.SessionRegistry),
+		resolver: newKeyResolver(),
+		sessions: newSessionRegistry(),
 		client:   cfg.Client,
 	}
 	if g.client == nil {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -502,6 +504,38 @@ func TestGatewayBadRequests(t *testing.T) {
 	r3.Body.Close()
 	if r3.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown node in job ID: status %d, want 404", r3.StatusCode)
+	}
+}
+
+// TestRouteKeyRowLimitBeforeSizing: the gateway applies the node's row
+// limit before it sizes anything from an upload's size line or a matrix
+// name, and answers 400.
+func TestRouteKeyRowLimitBeforeSizing(t *testing.T) {
+	_, ts, _ := startFleet(t, 1, GatewayConfig{}, service.Config{Workers: 1, QueueDepth: 4})
+	for _, spec := range []service.SolverSpec{
+		// 72 bytes declaring 2^24 rows: 128 MiB of row pointers if sized.
+		{MatrixMarket: "%%MatrixMarket matrix coordinate real general\n16777216 16777216 1\n1 1 1\n"},
+		// 1025² = 1,050,625 rows, one grid line over the default limit.
+		{Matrix: "poisson2d_1025"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := newKeyResolver().RouteKey(spec)
+		runtime.ReadMemStats(&after)
+		var rl *sparse.RowLimitError
+		if !errors.As(err, &rl) || rl.Limit != service.DefaultMaxMatrixRows {
+			t.Errorf("RouteKey(%.40q) error = %v, want a refusal at the node's row limit", spec.Matrix+spec.MatrixMarket, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("RouteKey(%.40q) allocated %d KiB before refusing", spec.Matrix+spec.MatrixMarket, grew>>10)
+		}
+		resp, _ := postJSON(t, ts.URL+"/v1/solve", map[string]any{
+			"matrix": spec.Matrix, "matrix_market": spec.MatrixMarket,
+			"block_size": 8, "local_iters": 1, "max_global_iters": 1,
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("oversized %.40q: status %d, want 400", spec.Matrix+spec.MatrixMarket, resp.StatusCode)
+		}
 	}
 }
 

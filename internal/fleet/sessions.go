@@ -21,10 +21,9 @@ import (
 // fresh session under the old ID. Entries evict LRU; an evicted entry only
 // downgrades a session-lost answer to the node's own 404.
 type sessionRegistry struct {
-	mu  sync.Mutex
-	max int
-	m   map[string]*list.Element // namespaced ID -> *sessionEntry
-	ll  *list.List               // front = most recently used
+	mu sync.Mutex
+	m  map[string]*list.Element // namespaced ID -> *sessionEntry
+	ll *list.List               // front = most recently used
 }
 
 type sessionEntry struct {
@@ -33,15 +32,12 @@ type sessionEntry struct {
 	fingerprint string
 }
 
-// defaultSessionRegistry bounds tracked sessions; at ~100 bytes per entry
+// sessionRegistryEntries bounds tracked sessions; at ~100 bytes per entry
 // this is ~2MB, far above any node's MaxSessions.
-const defaultSessionRegistry = 16384
+const sessionRegistryEntries = 16384
 
-func newSessionRegistry(max int) *sessionRegistry {
-	if max <= 0 {
-		max = defaultSessionRegistry
-	}
-	return &sessionRegistry{max: max, m: make(map[string]*list.Element), ll: list.New()}
+func newSessionRegistry() *sessionRegistry {
+	return &sessionRegistry{m: make(map[string]*list.Element), ll: list.New()}
 }
 
 func (r *sessionRegistry) put(id, node, fingerprint string) {
@@ -54,7 +50,7 @@ func (r *sessionRegistry) put(id, node, fingerprint string) {
 		return
 	}
 	r.m[id] = r.ll.PushFront(&sessionEntry{id: id, node: node, fingerprint: fingerprint})
-	for r.ll.Len() > r.max {
+	for r.ll.Len() > sessionRegistryEntries {
 		back := r.ll.Back()
 		delete(r.m, back.Value.(*sessionEntry).id)
 		r.ll.Remove(back)

@@ -24,27 +24,48 @@ var Names = []string{
 // Poisson operator on the W×W grid — the operator family the multigrid
 // route admits. Unknown names return an error listing the available set.
 func Generate(name string) (TestMatrix, error) {
-	switch name {
-	case "Chem97ZtZ":
-		return TestMatrix{name, "statistical problem (analog)", Chem97ZtZ(2541)}, nil
-	case "fv1":
-		return TestMatrix{name, "2D/3D problem (analog)", FVTiled(98, 98, 1.368)}, nil
-	case "fv2":
-		return TestMatrix{name, "2D/3D problem (analog)", FVTiled(99, 99, 1.368)}, nil
-	case "fv3":
-		return TestMatrix{name, "2D/3D problem (analog)", FVTiled(99, 99, 0.0056)}, nil
-	case "s1rmt3m1":
-		return TestMatrix{name, "structural problem (analog)", S1RMT3M1(5489)}, nil
-	case "Trefethen_2000":
-		return TestMatrix{name, "combinatorial problem (exact)", Trefethen(2000)}, nil
-	case "Trefethen_20000":
-		return TestMatrix{name, "combinatorial problem (exact)", Trefethen(20000)}, nil
-	default:
-		if w, ok := poissonName(name); ok {
-			return TestMatrix{name, "five-point 2-D Poisson (generated)", Poisson2D(w, w)}, nil
+	return GenerateLimit(name, 0)
+}
+
+// GenerateLimit is Generate with a caller's row bound: a name whose matrix
+// has more than maxRows rows fails with a *sparse.RowLimitError before
+// anything is built (a poisson2d_W whose W·W overflows int reports
+// math.MaxInt rows). maxRows <= 0 leaves the size unbounded.
+func GenerateLimit(name string, maxRows int) (TestMatrix, error) {
+	g, ok := paper[name]
+	if !ok {
+		w, ok := poissonName(name)
+		if !ok {
+			return TestMatrix{}, fmt.Errorf("mats: unknown matrix %q (have %v and poisson2d_W for odd W ≥ 5)", name, Names)
 		}
-		return TestMatrix{}, fmt.Errorf("mats: unknown matrix %q (have %v and poisson2d_W for odd W ≥ 5)", name, Names)
+		g.desc, g.rows = "five-point 2-D Poisson (generated)", math.MaxInt
+		if w <= math.MaxInt/w {
+			g.rows = w * w
+		}
+		g.build = func() *sparse.CSR { return Poisson2D(w, w) }
 	}
+	if maxRows > 0 && g.rows > maxRows {
+		return TestMatrix{}, &sparse.RowLimitError{Rows: g.rows, Limit: maxRows}
+	}
+	return TestMatrix{name, g.desc, g.build()}, nil
+}
+
+// generator describes a named matrix before it is built.
+type generator struct {
+	desc  string
+	rows  int
+	build func() *sparse.CSR
+}
+
+// paper holds the generators of Names.
+var paper = map[string]generator{
+	"Chem97ZtZ":       {"statistical problem (analog)", 2541, func() *sparse.CSR { return Chem97ZtZ(2541) }},
+	"fv1":             {"2D/3D problem (analog)", 98 * 98, func() *sparse.CSR { return FVTiled(98, 98, 1.368) }},
+	"fv2":             {"2D/3D problem (analog)", 99 * 99, func() *sparse.CSR { return FVTiled(99, 99, 1.368) }},
+	"fv3":             {"2D/3D problem (analog)", 99 * 99, func() *sparse.CSR { return FVTiled(99, 99, 0.0056) }},
+	"s1rmt3m1":        {"structural problem (analog)", 5489, func() *sparse.CSR { return S1RMT3M1(5489) }},
+	"Trefethen_2000":  {"combinatorial problem (exact)", 2000, func() *sparse.CSR { return Trefethen(2000) }},
+	"Trefethen_20000": {"combinatorial problem (exact)", 20000, func() *sparse.CSR { return Trefethen(20000) }},
 }
 
 // poissonName parses the parametric "poisson2d_W" name.

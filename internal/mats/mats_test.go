@@ -1,6 +1,7 @@
 package mats
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -217,6 +218,31 @@ func TestGenerateDimensionsMatchPaper(t *testing.T) {
 		if got := MustGenerate(name).A.Rows; got != n {
 			t.Errorf("%s: n = %d, want %d (paper Table 1)", name, got, n)
 		}
+	}
+}
+
+// TestGenerateLimit: a name whose matrix has more rows than the bound is
+// refused with a *sparse.RowLimitError before it is built, also when W·W
+// overflows int; at its own row count it builds.
+func TestGenerateLimit(t *testing.T) {
+	for _, name := range append([]string{"poisson2d_31"}, Names...) {
+		if name == "Trefethen_20000" && testing.Short() {
+			continue
+		}
+		n := MustGenerate(name).A.Rows
+		if _, err := GenerateLimit(name, n); err != nil {
+			t.Errorf("GenerateLimit(%s, %d): %v", name, n, err)
+		}
+		_, err := GenerateLimit(name, n-1)
+		var rl *sparse.RowLimitError
+		if !errors.As(err, &rl) || *rl != (sparse.RowLimitError{Rows: n, Limit: n - 1}) {
+			t.Errorf("GenerateLimit(%s, %d) = %v, want a row-limit refusal of %d rows", name, n-1, err, n)
+		}
+	}
+	_, err := GenerateLimit("poisson2d_3037000501", 1<<20)
+	var rl *sparse.RowLimitError
+	if !errors.As(err, &rl) || rl.Rows != math.MaxInt {
+		t.Errorf("GenerateLimit of an overflowing W = %v, want a refusal of math.MaxInt rows", err)
 	}
 }
 

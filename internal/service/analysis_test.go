@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -97,6 +98,28 @@ func TestAnalysisRenderingPerVerdict(t *testing.T) {
 				t.Errorf("τ advice on a %v verdict: %q", tc.verdict, res.Analysis)
 			}
 		})
+	}
+}
+
+// TestUnknownCertificateRhoJacobi: the signed 6-cycle's iteration matrix
+// has a spectrum symmetric about 0, on which a Rayleigh quotient cancels.
+// Its Unknown certificate must still report ρ(B) as core.CheckConvergence
+// measures it.
+func TestUnknownCertificateRhoJacobi(t *testing.T) {
+	a := signedCycle(6, 0.52)
+	cert, err := certify.Certify(a, certify.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := core.CheckConvergence(a, 32, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cert.Verdict != certify.VerdictUnknown {
+		t.Fatalf("verdict = %v, want unknown (%v)", cert.Verdict, cert)
+	}
+	if math.Abs(cert.RhoJacobi-rep.RhoB) > 1e-3 {
+		t.Fatalf("certificate ρ(B) = %.4f, CheckConvergence ρ(B) = %.4f (%s)", cert.RhoJacobi, rep.RhoB, cert.Reason)
 	}
 }
 

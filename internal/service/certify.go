@@ -1,13 +1,12 @@
 package service
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/certify"
+	"repro/internal/memo"
 	"repro/internal/sparse"
 	"repro/internal/spectral"
 )
@@ -45,110 +44,26 @@ type CertifyStats struct {
 	Entries int `json:"entries"`
 }
 
-// certEntry is one cached certificate keyed by matrix fingerprint.
-type certEntry struct {
-	fp   string
-	cert certify.Certificate
-}
-
-// certCheck coalesces concurrent certifications of one fingerprint.
-type certCheck struct {
-	done chan struct{}
-	cert certify.Certificate
-	err  error
-}
-
-// certCache caches admission certificates by matrix fingerprint. A
-// certificate is a pure function of the matrix (the certifier is
-// deterministic for fixed options), so the fingerprint alone keys it —
-// like the tuning cache, but LRU-bounded alongside the plan cache: the
-// certificate population tracks the same working set of matrices.
-type certCache struct {
-	mu       sync.Mutex
-	ll       *list.List // of *certEntry; front = most recently used
-	items    map[string]*list.Element
-	inflight map[string]*certCheck
-	max      int
-	checks   uint64
-	hits     uint64
-	coalesce uint64
-	evicted  uint64
-}
-
-func newCertCache(maxEntries int) *certCache {
-	return &certCache{
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-		inflight: make(map[string]*certCheck),
-		max:      maxEntries,
-	}
-}
-
 // GetOrCertify returns the certificate for the matrix fingerprint, running
-// the certifier on a miss. Concurrent calls for the same missing
-// fingerprint coalesce into a single certification. hit reports whether
-// the caller reused resident or in-flight work.
+// the certifier on a miss. A certificate is a pure function of the matrix
+// (the certifier is deterministic for fixed options), so the fingerprint
+// alone keys it. Concurrent calls for the same missing fingerprint coalesce
+// into a single certification. hit reports whether the caller reused
+// resident or in-flight work.
 func (c *PlanCache) GetOrCertify(a *sparse.CSR, fp string, opt certify.Options) (certify.Certificate, bool, error) {
-	cc := c.cert
-	cc.mu.Lock()
-	if el, ok := cc.items[fp]; ok {
-		cc.ll.MoveToFront(el)
-		cc.hits++
-		cert := el.Value.(*certEntry).cert
-		cc.mu.Unlock()
-		return cert, true, nil
-	}
-	if chk, ok := cc.inflight[fp]; ok {
-		cc.coalesce++
-		cc.mu.Unlock()
-		<-chk.done
-		return chk.cert, true, chk.err
-	}
-	cc.checks++
-	chk := &certCheck{done: make(chan struct{})}
-	cc.inflight[fp] = chk
-	cc.mu.Unlock()
-
-	chk.cert, chk.err = certify.Certify(a, opt)
-
-	cc.mu.Lock()
-	delete(cc.inflight, fp)
-	if chk.err == nil {
-		cc.insertLocked(fp, chk.cert)
-	}
-	cc.mu.Unlock()
-	close(chk.done)
-	return chk.cert, false, chk.err
-}
-
-// insertLocked adds a certificate and evicts from the LRU tail while over
-// the entry bound. Callers hold cc.mu.
-func (cc *certCache) insertLocked(fp string, cert certify.Certificate) {
-	if el, ok := cc.items[fp]; ok {
-		cc.ll.MoveToFront(el)
-		return
-	}
-	cc.items[fp] = cc.ll.PushFront(&certEntry{fp: fp, cert: cert})
-	for cc.max > 0 && cc.ll.Len() > cc.max {
-		back := cc.ll.Back()
-		victim := back.Value.(*certEntry)
-		cc.ll.Remove(back)
-		delete(cc.items, victim.fp)
-		cc.evicted++
-	}
+	cert, o, err := c.certs.Get(fp, func() (certify.Certificate, error) { return certify.Certify(a, opt) })
+	return cert, o != memo.Computed, err
 }
 
 // CertifyStats snapshots the certificate-cache counters.
 func (c *PlanCache) CertifyStats() CertifyStats {
-	cc := c.cert
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
+	st := c.certs.Stats()
 	return CertifyStats{
-		Checks:    cc.checks,
-		Hits:      cc.hits,
-		Coalesced: cc.coalesce,
-		Evictions: cc.evicted,
-		Entries:   cc.ll.Len(),
+		Checks:    st.Misses,
+		Hits:      st.Hits,
+		Coalesced: st.Joins,
+		Evictions: st.Evictions,
+		Entries:   st.Entries,
 	}
 }
 
@@ -183,7 +98,7 @@ func (s *Service) admitCertified(spec SolverSpec, fallback bool, a *sparse.CSR, 
 	if err != nil || mode == certify.ModeOff {
 		return nil, false, err
 	}
-	cert, _, err := s.cache.GetOrCertify(a, fp, certify.Options{Seed: s.cache.cfg.Seed})
+	cert, _, err := s.cache.GetOrCertify(a, fp, certify.Options{Seed: analysisSeed})
 	if err != nil {
 		return nil, false, fmt.Errorf("service: admission certification: %w", err)
 	}
@@ -208,7 +123,7 @@ func (s *Service) admitCertified(spec SolverSpec, fallback bool, a *sparse.CSR, 
 func (s *Service) analysis(j *Job, a *sparse.CSR, fp string) string {
 	cert := j.cert
 	if cert == nil {
-		c, _, err := s.cache.GetOrCertify(a, fp, certify.Options{Seed: s.cache.cfg.Seed})
+		c, _, err := s.cache.GetOrCertify(a, fp, certify.Options{Seed: analysisSeed})
 		if err != nil {
 			return ""
 		}
@@ -218,7 +133,7 @@ func (s *Service) analysis(j *Job, a *sparse.CSR, fp string) string {
 	if cert.Verdict == certify.VerdictDiverges {
 		// An estimate that fails (the matrix is not SPD-normalizable)
 		// leaves the τ advice out.
-		tau, _ = spectral.TauScaling(a, s.cache.cfg.SpectralSteps, s.cache.cfg.Seed)
+		tau, _ = spectral.TauScaling(a, tauSteps, analysisSeed)
 	}
 	return analysisText(*cert, tau)
 }

@@ -235,7 +235,7 @@ func TestCertifyCacheEvictionAlongsidePlanCache(t *testing.T) {
 		if _, _, err := cache.GetOrCertify(m, fps[i], certify.Options{}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := cache.GetOrBuild(m, keyWithFingerprint(fps[i], core.Options{BlockSize: 16, LocalIters: 2}, core.KernelAuto, nil)); err != nil {
+		if _, _, err := cache.GetOrBuild(m, keyWithFingerprint(fps[i], core.Options{BlockSize: 16, LocalIters: 2}, core.KernelAuto, nil), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

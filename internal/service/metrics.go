@@ -96,6 +96,8 @@ func (s *Service) instrument() {
 		func() uint64 { return s.cache.TuneStats().Hits })
 	reg.CounterFunc("service_tune_probe_solves_total", "Short probe solves run by auto-tune searches.",
 		func() uint64 { return s.cache.TuneStats().ProbeSolves })
+	reg.CounterFunc("service_tune_cache_evictions_total", "Tunings evicted to respect the cache entry bound.",
+		func() uint64 { return s.cache.TuneStats().Evictions })
 
 	reg.CounterFunc("service_certify_checks_total", "Full admission certifications executed (certificate-cache misses).",
 		func() uint64 { return s.cache.CertifyStats().Checks })

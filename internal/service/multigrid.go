@@ -36,7 +36,7 @@ func (s *Service) runMultigridAttempt(ctx context.Context, j *Job, a *sparse.CSR
 		return nil, fmt.Errorf("service: method=multigrid supports the five-point Poisson operator on the %dx%d grid; the submitted matrix differs", w, w)
 	}
 
-	tr, tuneHit, err := s.cache.GetOrTune(a, fp, b, tune.Config{Seed: s.cache.cfg.Seed})
+	tr, tuneHit, err := s.cache.GetOrTune(a, fp, b, tune.Config{Seed: analysisSeed})
 	if err != nil {
 		return nil, fmt.Errorf("service: multigrid smoother tune: %w", err)
 	}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,10 +8,13 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 
+	"repro/internal/certify"
 	"repro/internal/core"
+	"repro/internal/memo"
 	"repro/internal/sparse"
+	"repro/internal/tune"
 )
 
 // Fingerprint returns a stable content hash of the matrix (dimensions,
@@ -65,8 +67,8 @@ type PlanKey struct {
 	Kernel core.KernelKind
 	// Stencil is the canonical rendering of a request-declared stencil spec
 	// ("" when none declared). Declared specs shape the plan's kernel data,
-	// so they are part of plan identity — and the canonical string keeps the
-	// key comparable while letting build reconstruct the spec.
+	// so they are part of plan identity; the string keeps the key
+	// comparable.
 	Stencil string
 }
 
@@ -81,7 +83,7 @@ func (k PlanKey) String() string {
 
 // stencilKey canonically encodes a declared stencil spec for plan identity:
 // "offset:coeff" pairs joined by commas, coefficients in Go's shortest
-// exactly-round-tripping decimal form. parseStencilKey inverts it.
+// exactly-round-tripping decimal form.
 func stencilKey(sp *sparse.StencilSpec) string {
 	if sp == nil {
 		return ""
@@ -96,31 +98,6 @@ func stencilKey(sp *sparse.StencilSpec) string {
 	return b.String()
 }
 
-// parseStencilKey reconstructs the spec a stencilKey encoded ("" → nil).
-func parseStencilKey(s string) (*sparse.StencilSpec, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var sp sparse.StencilSpec
-	for _, pair := range strings.Split(s, ",") {
-		off, coeff, ok := strings.Cut(pair, ":")
-		if !ok {
-			return nil, fmt.Errorf("service: malformed stencil key entry %q", pair)
-		}
-		d, err := strconv.Atoi(off)
-		if err != nil {
-			return nil, fmt.Errorf("service: malformed stencil key offset %q: %w", off, err)
-		}
-		v, err := strconv.ParseFloat(coeff, 64)
-		if err != nil {
-			return nil, fmt.Errorf("service: malformed stencil key coefficient %q: %w", coeff, err)
-		}
-		sp.Offsets = append(sp.Offsets, d)
-		sp.Coeffs = append(sp.Coeffs, v)
-	}
-	return &sp, nil
-}
-
 // Plan is one cached entry: the core solve plan with its estimated
 // resident size.
 type Plan struct {
@@ -132,8 +109,9 @@ type Plan struct {
 
 // CacheConfig configures a PlanCache. Zero values select the defaults.
 type CacheConfig struct {
-	// MaxEntries bounds the number of cached plans (default 64; negative
-	// means unlimited).
+	// MaxEntries bounds each per-matrix cache: plans, certificates,
+	// tunings and the service's named matrices (default 64; negative means
+	// unlimited).
 	MaxEntries int
 	// MaxBytes bounds the summed Plan.Bytes (0 = unlimited). The most
 	// recently used entry is never evicted, so a single plan larger than
@@ -144,22 +122,20 @@ type CacheConfig struct {
 	// the job has one, else one certification per fingerprint from the
 	// certificate cache (see certify.go). Skipped when false.
 	AnalyzeSpectrum bool
-	// SpectralSteps bounds the Lanczos effort of the §4.2 τ advice, which
-	// runs only on a Diverges verdict (default 32).
-	SpectralSteps int
-	// Seed drives the certifier, the tuner and the τ estimate (default 1).
-	Seed int64
 }
+
+const (
+	// analysisSeed drives the certifier, the tuner and the τ estimate, so
+	// every request of a matrix resolves to the same cached outcome.
+	analysisSeed = 1
+	// tauSteps bounds the Lanczos effort of the §4.2 τ advice, which runs
+	// only on a Diverges verdict.
+	tauSteps = 32
+)
 
 func (c CacheConfig) withDefaults() CacheConfig {
 	if c.MaxEntries == 0 {
 		c.MaxEntries = 64
-	}
-	if c.SpectralSteps == 0 {
-		c.SpectralSteps = 32
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -182,48 +158,28 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// PlanCache is a concurrency-safe LRU cache of solve plans. Concurrent
-// GetOrBuild calls for the same missing key coalesce into a single build
-// (the waiters count as hits: they reuse the builder's work).
+// PlanCache holds the per-matrix caches: solve plans keyed by shape, and
+// auto-tune outcomes (tune.go) and admission certificates (certify.go)
+// keyed by fingerprint. Each is a concurrency-safe LRU whose concurrent
+// misses of one key coalesce into a single computation, so a long
+// parameter search never blocks plan lookups.
 type PlanCache struct {
-	cfg CacheConfig
-
-	mu       sync.Mutex
-	ll       *list.List // of *Plan; front = most recently used
-	items    map[PlanKey]*list.Element
-	inflight map[PlanKey]*planBuild
-	bytes    int64
-	hits     uint64
-	misses   uint64
-	evicted  uint64
-
-	// tune caches auto-tune outcomes by matrix fingerprint (see tune.go);
-	// it has its own lock so a long parameter search never blocks plan
-	// lookups.
-	tune *tuningCache
-	// cert caches admission certificates by matrix fingerprint (see
-	// certify.go); like tune it has its own lock, and its LRU entry bound
-	// mirrors the plan cache's MaxEntries.
-	cert *certCache
-}
-
-// planBuild coalesces concurrent builds of one key.
-type planBuild struct {
-	done chan struct{}
-	plan *Plan
-	err  error
+	cfg     CacheConfig
+	plans   *memo.Cache[PlanKey, *Plan]
+	tunings *memo.Cache[string, tune.Result]
+	certs   *memo.Cache[string, certify.Certificate]
+	// probes counts every probe solve the tuning searches ran.
+	probes atomic.Uint64
 }
 
 // NewPlanCache creates an empty cache.
 func NewPlanCache(cfg CacheConfig) *PlanCache {
 	cfg = cfg.withDefaults()
 	return &PlanCache{
-		cfg:      cfg,
-		ll:       list.New(),
-		items:    make(map[PlanKey]*list.Element),
-		inflight: make(map[PlanKey]*planBuild),
-		tune:     newTuningCache(),
-		cert:     newCertCache(cfg.MaxEntries),
+		cfg:     cfg,
+		plans:   memo.New[PlanKey, *Plan](cfg.MaxEntries, cfg.MaxBytes, func(p *Plan) int64 { return p.Bytes }),
+		tunings: memo.New[string, tune.Result](cfg.MaxEntries, 0, nil),
+		certs:   memo.New[string, certify.Certificate](cfg.MaxEntries, 0, nil),
 	}
 }
 
@@ -231,12 +187,7 @@ func NewPlanCache(cfg CacheConfig) *PlanCache {
 // kernel dispatch. Only the plan-shaping options (BlockSize, ExactLocal)
 // enter the key.
 func KeyFor(a *sparse.CSR, opt core.Options) PlanKey {
-	return KeyForKernel(a, opt, core.KernelAuto)
-}
-
-// KeyForKernel is KeyFor with an explicit sweep-kernel dispatch.
-func KeyForKernel(a *sparse.CSR, opt core.Options, kernel core.KernelKind) PlanKey {
-	return keyWithFingerprint(Fingerprint(a), opt, kernel, nil)
+	return keyWithFingerprint(Fingerprint(a), opt, core.KernelAuto, nil)
 }
 
 func keyWithFingerprint(fp string, opt core.Options, kernel core.KernelKind, stencil *sparse.StencilSpec) PlanKey {
@@ -249,107 +200,37 @@ func keyWithFingerprint(fp string, opt core.Options, kernel core.KernelKind, ste
 	}
 }
 
-// GetOrBuild returns the cached plan for key, building it from a on a
-// miss. hit reports whether the caller reused existing (or in-flight)
-// work. The matrix must match the key's fingerprint; this is the caller's
-// contract, not re-verified here (fingerprinting costs a full pass).
-func (c *PlanCache) GetOrBuild(a *sparse.CSR, key PlanKey) (plan *Plan, hit bool, err error) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		p := el.Value.(*Plan)
-		c.mu.Unlock()
-		return p, true, nil
-	}
-	if b, ok := c.inflight[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		<-b.done
-		if b.err != nil {
-			return nil, true, b.err
+// GetOrBuild returns the cached plan for key, building it from a and the
+// declared stencil spec (nil when none) on a miss. hit reports whether the
+// caller reused existing or in-flight work (waiters count as hits). The
+// matrix must match the key's fingerprint and the spec its Stencil; this
+// is the caller's contract, not re-verified here (fingerprinting costs a
+// full pass).
+func (c *PlanCache) GetOrBuild(a *sparse.CSR, key PlanKey, stencil *sparse.StencilSpec) (plan *Plan, hit bool, err error) {
+	plan, o, err := c.plans.Get(key, func() (*Plan, error) {
+		prepared, err := core.NewPlanWithConfig(a, key.BlockSize, key.ExactLocal, core.PlanConfig{Kernel: key.Kernel, Stencil: stencil})
+		if err != nil {
+			return nil, fmt.Errorf("service: building plan %v: %w", key, err)
 		}
-		return b.plan, true, nil
-	}
-	c.misses++
-	b := &planBuild{done: make(chan struct{})}
-	c.inflight[key] = b
-	c.mu.Unlock()
-
-	b.plan, b.err = c.build(a, key)
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if b.err == nil {
-		c.insertLocked(key, b.plan)
-	}
-	c.mu.Unlock()
-	close(b.done)
-	return b.plan, false, b.err
+		return &Plan{Key: key, Prepared: prepared, Bytes: prepared.MemoryBytes()}, nil
+	})
+	return plan, o != memo.Computed, err
 }
 
 // Get returns the cached plan without building, not counting a hit or
 // miss. Intended for introspection and tests.
 func (c *PlanCache) Get(key PlanKey) (*Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*Plan), true
+	return c.plans.Peek(key)
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *PlanCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.plans.Stats()
 	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evicted,
-		Entries:   c.ll.Len(),
-		Bytes:     c.bytes,
+		Hits:      st.Hits + st.Joins,
+		Misses:    st.Misses,
+		Evictions: st.Evictions,
+		Entries:   st.Entries,
+		Bytes:     st.Bytes,
 	}
-}
-
-// build constructs the plan outside the cache lock.
-func (c *PlanCache) build(a *sparse.CSR, key PlanKey) (*Plan, error) {
-	spec, err := parseStencilKey(key.Stencil)
-	if err != nil {
-		return nil, err
-	}
-	prepared, err := core.NewPlanWithConfig(a, key.BlockSize, key.ExactLocal, core.PlanConfig{Kernel: key.Kernel, Stencil: spec})
-	if err != nil {
-		return nil, fmt.Errorf("service: building plan %v: %w", key, err)
-	}
-	return &Plan{Key: key, Prepared: prepared, Bytes: prepared.MemoryBytes()}, nil
-}
-
-// insertLocked adds the freshly built plan and evicts from the LRU tail
-// while over budget. Callers hold c.mu.
-func (c *PlanCache) insertLocked(key PlanKey, p *Plan) {
-	if el, ok := c.items[key]; ok {
-		// A concurrent build already inserted the key (cannot happen with
-		// the in-flight coalescing, but stay safe): keep the existing one.
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(p)
-	c.bytes += p.Bytes
-	for c.overBudgetLocked() && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		victim := back.Value.(*Plan)
-		c.ll.Remove(back)
-		delete(c.items, victim.Key)
-		c.bytes -= victim.Bytes
-		c.evicted++
-	}
-}
-
-func (c *PlanCache) overBudgetLocked() bool {
-	if c.cfg.MaxEntries > 0 && c.ll.Len() > c.cfg.MaxEntries {
-		return true
-	}
-	return c.cfg.MaxBytes > 0 && c.bytes > c.cfg.MaxBytes
 }

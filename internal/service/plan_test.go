@@ -56,14 +56,14 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	c := NewPlanCache(CacheConfig{})
 	key := KeyFor(a, core.Options{BlockSize: 32, LocalIters: 5})
 
-	p1, hit, err := c.GetOrBuild(a, key)
+	p1, hit, err := c.GetOrBuild(a, key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Fatal("first lookup must miss")
 	}
-	p2, hit, err := c.GetOrBuild(a, key)
+	p2, hit, err := c.GetOrBuild(a, key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPlanCacheEviction(t *testing.T) {
 	keys := make([]PlanKey, 3)
 	for i := range keys {
 		keys[i] = KeyFor(a, core.Options{BlockSize: 16 << i, LocalIters: 5})
-		if _, _, err := c.GetOrBuild(a, keys[i]); err != nil {
+		if _, _, err := c.GetOrBuild(a, keys[i], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestPlanCacheEviction(t *testing.T) {
 		}
 	}
 	// Re-requesting the victim is a miss and evicts the next-oldest.
-	if _, hit, err := c.GetOrBuild(a, keys[0]); err != nil || hit {
+	if _, hit, err := c.GetOrBuild(a, keys[0], nil); err != nil || hit {
 		t.Fatalf("evicted key must rebuild (hit=%t, err=%v)", hit, err)
 	}
 	if st := c.Stats(); st.Evictions != 2 || st.Entries != 2 {
@@ -130,7 +130,7 @@ func TestPlanCacheByteBudget(t *testing.T) {
 	c := NewPlanCache(CacheConfig{MaxEntries: -1, MaxBytes: budget})
 	for _, bs := range blocks {
 		key := KeyFor(a, core.Options{BlockSize: bs, LocalIters: 5})
-		if _, _, err := c.GetOrBuild(a, key); err != nil {
+		if _, _, err := c.GetOrBuild(a, key, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestPlanCacheConcurrentStorm(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				key := keys[(g+r)%numKeys]
-				p, _, err := c.GetOrBuild(a, key)
+				p, _, err := c.GetOrBuild(a, key, nil)
 				if err != nil {
 					errs <- err
 					return
@@ -224,10 +224,10 @@ func TestCachedPlanBitIdenticalSolve(t *testing.T) {
 
 	c := NewPlanCache(CacheConfig{})
 	key := KeyFor(a, opt)
-	if _, hit, err := c.GetOrBuild(a, key); err != nil || hit {
+	if _, hit, err := c.GetOrBuild(a, key, nil); err != nil || hit {
 		t.Fatalf("prime the cache: hit=%t err=%v", hit, err)
 	}
-	plan, hit, err := c.GetOrBuild(a, key)
+	plan, hit, err := c.GetOrBuild(a, key, nil)
 	if err != nil || !hit {
 		t.Fatalf("warm lookup: hit=%t err=%v", hit, err)
 	}

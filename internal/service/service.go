@@ -15,6 +15,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gpusim"
 	"repro/internal/mats"
+	"repro/internal/memo"
 	"repro/internal/metrics"
 	"repro/internal/multigpu"
 	"repro/internal/solver"
@@ -242,6 +243,10 @@ func (r SolveRequest) strategyKind() (multigpu.Strategy, error) {
 	}
 }
 
+// DefaultMaxMatrixRows is Config.MaxMatrixRows's default. solverd sets no
+// other value, so the fleet gateway applies it too.
+const DefaultMaxMatrixRows = 1 << 20
+
 // Config configures a Service. Zero values select the defaults.
 type Config struct {
 	// QueueDepth bounds the number of queued-but-not-running jobs
@@ -253,7 +258,8 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// Cache configures the plan cache.
 	Cache CacheConfig
-	// MaxMatrixRows rejects oversized inline matrices (default 1<<20;
+	// MaxMatrixRows refuses an inline or named matrix with more rows,
+	// before anything is sized from it (default DefaultMaxMatrixRows;
 	// negative: unlimited).
 	MaxMatrixRows int
 	// MaxAttempts is how often a job is run before its failure becomes
@@ -294,7 +300,7 @@ func (c Config) withDefaults() Config {
 		c.Workers = 4
 	}
 	if c.MaxMatrixRows == 0 {
-		c.MaxMatrixRows = 1 << 20
+		c.MaxMatrixRows = DefaultMaxMatrixRows
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 1
@@ -387,7 +393,7 @@ type Service struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string // insertion order, for listing
-	mats     map[string]*namedMatrix
+	mats     *memo.Cache[string, namedMatrix]
 	closed   bool
 	nextID   atomic.Uint64
 	submits  atomic.Uint64
@@ -432,8 +438,8 @@ type Service struct {
 	wallHist *metrics.Histogram
 }
 
-// namedMatrix caches a generated paper matrix and its fingerprint so
-// repeated requests by name skip both generation and hashing.
+// namedMatrix caches a generated matrix and its fingerprint so repeated
+// requests by name skip both generation and hashing.
 type namedMatrix struct {
 	a  *sparse.CSR
 	fp string
@@ -442,11 +448,14 @@ type namedMatrix struct {
 // New creates a Service and starts its worker pool.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
+	cache := NewPlanCache(cfg.Cache)
 	s := &Service{
 		cfg:   cfg,
-		cache: NewPlanCache(cfg.Cache),
+		cache: cache,
 		jobs:  make(map[string]*Job),
-		mats:  make(map[string]*namedMatrix),
+		// Named matrices are one more per-matrix cache, under the same
+		// entry bound as the plans built from them.
+		mats: memo.New[string, namedMatrix](cache.cfg.MaxEntries, 0, nil),
 	}
 	s.queue = NewQueue(cfg.QueueDepth, cfg.Workers, s.runJob)
 	s.sessions = newSessionStore(cfg)
@@ -638,33 +647,27 @@ func (s *Service) validate(req SolveRequest) error {
 // matrices are generated and fingerprinted once, then served from a
 // per-service cache. Inline payloads are parsed and hashed per call, and
 // it is called once per job or session, at admission: the job or session
-// keeps the operator for every attempt or step.
+// keeps the operator for every attempt or step. Both apply the row limit
+// before anything is sized.
 func (s *Service) resolveMatrix(req SolverSpec) (*sparse.CSR, string, error) {
+	var rl *sparse.RowLimitError
 	if req.Matrix != "" {
-		s.mu.Lock()
-		nm, ok := s.mats[req.Matrix]
-		s.mu.Unlock()
-		if ok {
-			return nm.a, nm.fp, nil
+		nm, _, err := s.mats.Get(req.Matrix, func() (namedMatrix, error) {
+			tm, err := mats.GenerateLimit(req.Matrix, s.cfg.MaxMatrixRows)
+			if err != nil {
+				return namedMatrix{}, err
+			}
+			return namedMatrix{a: tm.A, fp: Fingerprint(tm.A)}, nil
+		})
+		if errors.As(err, &rl) {
+			return nil, "", fmt.Errorf("service: matrix %q has %d rows, limit %d", req.Matrix, rl.Rows, rl.Limit)
 		}
-		tm, err := mats.Generate(req.Matrix)
 		if err != nil {
 			return nil, "", fmt.Errorf("service: %w", err)
 		}
-		nm = &namedMatrix{a: tm.A, fp: Fingerprint(tm.A)}
-		s.mu.Lock()
-		if prev, ok := s.mats[req.Matrix]; ok {
-			nm = prev // concurrent generation: keep the first
-		} else {
-			s.mats[req.Matrix] = nm
-		}
-		s.mu.Unlock()
 		return nm.a, nm.fp, nil
 	}
-	// The reader applies the row limit to the size line, before it sizes
-	// anything from it.
 	a, err := sparse.ReadMatrixMarketLimit(strings.NewReader(req.MatrixMarket), s.cfg.MaxMatrixRows)
-	var rl *sparse.RowLimitError
 	if errors.As(err, &rl) {
 		return nil, "", fmt.Errorf("service: inline matrix has %d rows, limit %d", rl.Rows, rl.Limit)
 	}
@@ -1055,9 +1058,9 @@ func (s *Service) resolve(spec SolverSpec, a *sparse.CSR, fp string, b []float64
 
 	var rs resolvedSpec
 	if tuning, _ := spec.tuneAuto(); tuning {
-		// The search is seeded by the cache config, not the request, so
-		// every request of a matrix resolves to the same cached tuning.
-		tr, tuneHit, err := s.cache.GetOrTune(a, fp, b, tune.Config{Seed: s.cache.cfg.Seed})
+		// The search is seeded by a constant, not the request, so every
+		// request of a matrix resolves to the same cached tuning.
+		tr, tuneHit, err := s.cache.GetOrTune(a, fp, b, tune.Config{Seed: analysisSeed})
 		if err != nil {
 			return resolvedSpec{}, fmt.Errorf("service: auto-tune: %w", err)
 		}
@@ -1086,7 +1089,8 @@ func (s *Service) resolve(spec SolverSpec, a *sparse.CSR, fp string, b []float64
 		}
 	}
 
-	rs.plan, rs.hit, err = s.cache.GetOrBuild(a, keyWithFingerprint(fp, opt, kernel, spec.Stencil.spec()))
+	stencil := spec.Stencil.spec()
+	rs.plan, rs.hit, err = s.cache.GetOrBuild(a, keyWithFingerprint(fp, opt, kernel, stencil), stencil)
 	if err != nil {
 		return resolvedSpec{}, err
 	}

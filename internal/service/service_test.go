@@ -371,33 +371,44 @@ func TestServiceJobTimeout(t *testing.T) {
 	}
 }
 
-// TestSubmitRowLimitBeforeSizing: an upload over MaxMatrixRows is refused
-// from its size line, before the reader sizes anything from it.
+// TestSubmitRowLimitBeforeSizing: an upload or a named matrix over
+// MaxMatrixRows is refused from its size line or its name, before anything
+// is sized from it.
 func TestSubmitRowLimitBeforeSizing(t *testing.T) {
 	const header = "%%MatrixMarket matrix coordinate real general\n"
 	for _, tc := range []struct {
 		name    string
 		limit   int
+		matrix  string
 		payload string
-		want    string
+		want    string // "": admitted
 	}{
 		// 72 bytes declaring 2^24 rows under the default limit: sizing it
 		// before the limit applies would allocate 128 MiB of row pointers.
-		{"declared-2^24-rows", 0, header + "16777216 16777216 1\n1 1 1\n",
+		{"declared-2^24-rows", 0, "", header + "16777216 16777216 1\n1 1 1\n",
 			"service: inline matrix has 16777216 rows, limit 1048576"},
-		{"configured-limit", 512, header + "513 513 1\n1 1 1\n",
+		{"configured-limit", 512, "", header + "513 513 1\n1 1 1\n",
 			"service: inline matrix has 513 rows, limit 512"},
+		{"named-over-limit", 1024, "poisson2d_33", "",
+			`service: matrix "poisson2d_33" has 1089 rows, limit 1024`},
+		{"named-under-limit", 1024, "poisson2d_31", "", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(Config{Workers: 1, QueueDepth: 1, MaxMatrixRows: tc.limit})
 			defer s.Shutdown(context.Background())
 			req := SolveRequest{SolverSpec: SolverSpec{
-				MatrixMarket: tc.payload, BlockSize: 8, LocalIters: 1, MaxGlobalIters: 1,
+				Matrix: tc.matrix, MatrixMarket: tc.payload, BlockSize: 8, LocalIters: 1, MaxGlobalIters: 1,
 			}}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			_, err := s.Submit(req)
 			runtime.ReadMemStats(&after)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Submit error = %v, want admitted", err)
+				}
+				return
+			}
 			if err == nil || err.Error() != tc.want {
 				t.Fatalf("Submit error = %v, want %q", err, tc.want)
 			}
@@ -405,6 +416,29 @@ func TestSubmitRowLimitBeforeSizing(t *testing.T) {
 				t.Errorf("Submit allocated %d KiB before refusing", grew>>10)
 			}
 		})
+	}
+}
+
+// TestPerMatrixCachesBounded: named matrices and tunings obey
+// CacheConfig.MaxEntries like plans and certificates do, so a stream of
+// distinct matrices cannot grow them without bound.
+func TestPerMatrixCachesBounded(t *testing.T) {
+	s := New(Config{Workers: 1, Cache: CacheConfig{MaxEntries: 2}})
+	defer s.Shutdown(context.Background())
+	for _, name := range []string{"poisson2d_5", "poisson2d_7", "poisson2d_9"} {
+		a, fp, err := s.resolveMatrix(SolverSpec{Matrix: name})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, _, err := s.Cache().GetOrTune(a, fp, onesRHS(a), quickTune()); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if n := s.mats.Stats().Entries; n != 2 {
+		t.Errorf("named matrices resident = %d, want 2", n)
+	}
+	if st := s.Cache().TuneStats(); st.Entries != 2 || st.Evictions != 1 || st.Searches != 3 {
+		t.Errorf("tune stats = %+v, want 2 entries / 1 eviction / 3 searches", st)
 	}
 }
 

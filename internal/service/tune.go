@@ -1,8 +1,7 @@
 package service
 
 import (
-	"sync"
-
+	"repro/internal/memo"
 	"repro/internal/sparse"
 	"repro/internal/tune"
 )
@@ -35,84 +34,37 @@ type TuneStats struct {
 	// ProbeSolves counts every short probe solve the searches ran — the
 	// work hits avoid.
 	ProbeSolves uint64 `json:"probe_solves"`
+	// Evictions counts tunings dropped to respect the entry bound.
+	Evictions uint64 `json:"evictions"`
 	// Entries is the number of cached tunings.
 	Entries int `json:"entries"`
 }
 
-// tuneSearch coalesces concurrent searches for one fingerprint.
-type tuneSearch struct {
-	done chan struct{}
-	res  tune.Result
-	err  error
-}
-
-// tuningCache caches auto-tune outcomes by matrix fingerprint. The tuned
-// parameters are a property of the operator — the probe right-hand side
-// only mildly perturbs the measured contraction rates — so the key is the
-// fingerprint alone: a warm daemon tunes each matrix once, then every
-// later "tune": "auto" request reuses the result with zero probe solves.
-type tuningCache struct {
-	mu       sync.Mutex
-	tunings  map[string]tune.Result
-	inflight map[string]*tuneSearch
-	searches uint64
-	hits     uint64
-	probes   uint64
-}
-
-func newTuningCache() *tuningCache {
-	return &tuningCache{
-		tunings:  make(map[string]tune.Result),
-		inflight: make(map[string]*tuneSearch),
-	}
-}
-
 // GetOrTune returns the cached tuning for the matrix fingerprint, running
-// the full parameter search on a miss. Concurrent calls for the same
-// missing fingerprint coalesce into a single search (the waiters count as
-// hits: they run no probes of their own). hit reports whether the caller
-// reused existing or in-flight work.
+// the full parameter search on a miss. The tuned parameters are a property
+// of the operator — the probe right-hand side only mildly perturbs the
+// measured contraction rates — so the fingerprint alone keys them: a warm
+// daemon tunes each matrix once. Concurrent calls for the same missing
+// fingerprint coalesce into a single search (the waiters count as hits:
+// they run no probes of their own). hit reports whether the caller reused
+// existing or in-flight work.
 func (c *PlanCache) GetOrTune(a *sparse.CSR, fp string, b []float64, cfg tune.Config) (tune.Result, bool, error) {
-	t := c.tune
-	t.mu.Lock()
-	if r, ok := t.tunings[fp]; ok {
-		t.hits++
-		t.mu.Unlock()
-		return r, true, nil
-	}
-	if s, ok := t.inflight[fp]; ok {
-		t.hits++
-		t.mu.Unlock()
-		<-s.done
-		return s.res, true, s.err
-	}
-	t.searches++
-	s := &tuneSearch{done: make(chan struct{})}
-	t.inflight[fp] = s
-	t.mu.Unlock()
-
-	s.res, s.err = tune.Tune(a, b, cfg)
-
-	t.mu.Lock()
-	delete(t.inflight, fp)
-	t.probes += uint64(s.res.ProbeSolves)
-	if s.err == nil {
-		t.tunings[fp] = s.res
-	}
-	t.mu.Unlock()
-	close(s.done)
-	return s.res, false, s.err
+	r, o, err := c.tunings.Get(fp, func() (tune.Result, error) {
+		r, err := tune.Tune(a, b, cfg)
+		c.probes.Add(uint64(r.ProbeSolves))
+		return r, err
+	})
+	return r, o != memo.Computed, err
 }
 
 // TuneStats snapshots the tuning-cache counters.
 func (c *PlanCache) TuneStats() TuneStats {
-	t := c.tune
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	st := c.tunings.Stats()
 	return TuneStats{
-		Searches:    t.searches,
-		Hits:        t.hits,
-		ProbeSolves: t.probes,
-		Entries:     len(t.tunings),
+		Searches:    st.Misses,
+		Hits:        st.Hits + st.Joins,
+		ProbeSolves: c.probes.Load(),
+		Evictions:   st.Evictions,
+		Entries:     st.Entries,
 	}
 }

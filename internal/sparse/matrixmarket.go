@@ -46,15 +46,16 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	return ReadMatrixMarketLimit(r, 0)
 }
 
-// RowLimitError is ReadMatrixMarketLimit's refusal of a size line that
-// declares more rows than the caller allows.
+// RowLimitError refuses a matrix with more rows than the caller allows,
+// before anything is sized from it: ReadMatrixMarketLimit's answer to such
+// a size line, and mats.GenerateLimit's to such a name.
 type RowLimitError struct {
 	Rows, Limit int
 }
 
 // Error implements the error interface.
 func (e *RowLimitError) Error() string {
-	return fmt.Sprintf("matrixmarket: %d rows exceed the limit %d", e.Rows, e.Limit)
+	return fmt.Sprintf("sparse: %d rows exceed the limit %d", e.Rows, e.Limit)
 }
 
 // ReadMatrixMarketLimit is ReadMatrixMarket with a caller's row bound:
