@@ -19,6 +19,11 @@ func TestFingerprintGolden(t *testing.T) {
 		{"Trefethen_2000", "4715772cb4172906ef3a0506f4976eff"},
 		{"fv1", "9f3968ad0c548a60d443f3de86536f0b"},
 		{"Chem97ZtZ", "04ecfecd559e269026567bb7e8ed7a46"},
+		{"fv2", "39acf3bf1c3b374452f0d768b9c681c9"},
+		{"fv3", "37f4e45cb4be2a98609a37856d8e6ca1"},
+		{"s1rmt3m1", "2fae1ced865c2e1783bc3b19e467f976"},
+		{"Trefethen_20000", "5250a37ca3409ef38ea759111d972ed7"},
+		{"poisson2d_31", "a72480780b0065094e20b3388617d006"},
 	} {
 		tm, err := mats.Generate(tc.name)
 		if err != nil {

@@ -1,12 +1,14 @@
 package tune
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/mats"
 	"repro/internal/sparse"
+	"repro/internal/vecmath"
 )
 
 func onesRHS(a *sparse.CSR) []float64 {
@@ -258,5 +260,53 @@ func TestTuneKernelStageTrefethen(t *testing.T) {
 	}
 	if res.KernelTraffic <= 0 {
 		t.Errorf("traffic factor %g", res.KernelTraffic)
+	}
+}
+
+// goldenKey renders every field of a Result, floats by their bits.
+func goldenKey(r Result) string {
+	f := math.Float64bits
+	return fmt.Sprintf("bs=%d k=%d omega=%x rate=%x spd=%x probed=%d skipped=%d solves=%d bracket=%x,%x spectral=%v method=%v beta=%x kernel=%v prec=%q traffic=%x",
+		r.BlockSize, r.LocalIters, f(r.Omega), f(r.Rate), f(r.SecondsPerDigit), r.Probed, r.Skipped, r.ProbeSolves,
+		f(r.OmegaBracket[0]), f(r.OmegaBracket[1]), r.OmegaFromSpectral, r.Method, f(r.Beta), r.Kernel, r.Precision, f(r.KernelTraffic))
+}
+
+// TestTuneGolden pins the whole Result of the default search, floats by
+// their bits, on the paper matrices and a Poisson grid with b = A·1, and
+// the error of the divergent s1rmt3m1. The search must give the same
+// Result at every GOMAXPROCS (run it with -cpu 1,2,4): probes that run
+// side by side are folded in grid order.
+func TestTuneGolden(t *testing.T) {
+	for _, tc := range []struct {
+		matrix     string
+		precisions []string
+		want       string
+		err        string
+	}{
+		{matrix: "fv1", want: `bs=896 k=8 omega=3ff4cc35b8cfbe01 rate=3fdfc8af9ab7e620 spd=3fa9782631fef957 probed=25 skipped=0 solves=36 bracket=3fe8b4284e5f2140,3ffc5a14272f90a0 spectral=true method=richardson2 beta=3fe0000000000000 kernel=stencil prec="f64" traffic=3fe6ee8907e94f90`},
+		{matrix: "Trefethen_2000", want: `bs=64 k=8 omega=3ff0000000000000 rate=3fce4eea7ec4bc36 spd=3f634f8cc1a06539 probed=25 skipped=0 solves=36 bracket=3fd83272c210cf02,3ff60c9cb08433c0 spectral=true method=richardson2 beta=3fe0000000000000 kernel=sell prec="f64" traffic=3fed71f36262cba7`},
+		{matrix: "Trefethen_2000", precisions: []string{core.PrecF64, core.PrecF32}, want: `bs=64 k=8 omega=3ff0000000000000 rate=3fce4eea7ec4bc36 spd=3f634f8cc1a06539 probed=25 skipped=0 solves=37 bracket=3fd83272c210cf02,3ff60c9cb08433c0 spectral=true method=richardson2 beta=3fe0000000000000 kernel=sell prec="f64" traffic=3fed71f36262cba7`},
+		{matrix: "Chem97ZtZ", want: `bs=64 k=1 omega=3feaf03b8224a73e rate=3fd6392f9b67ec90 spd=3f69f63cd666573b probed=25 skipped=0 solves=36 bracket=3fd574b1afec51ec,3ff55d2c6bfb147b spectral=true method=richardson2 beta=3fb999999999999a kernel=sell prec="f64" traffic=3feccccccccccccd`},
+		{matrix: "poisson2d_31", want: `bs=64 k=2 omega=3ff163c78a20e980 rate=3fecd74447a87f68 spd=3f92714c122c9757 probed=25 skipped=0 solves=36 bracket=3fe01ac5aa80c2ba,3ff80d62d540615d spectral=true method=richardson2 beta=3fe0000000000000 kernel=stencil prec="f64" traffic=3fe365eba5da9956`},
+		{matrix: "s1rmt3m1", want: `bs=0 k=0 omega=3ff0000000000000 rate=0 spd=7ff0000000000000 probed=25 skipped=25 solves=25 bracket=0,0 spectral=false method=jacobi beta=0 kernel=auto prec="" traffic=0`,
+			err: "tune: no candidate configuration contracted (ρ(|B|) ≥ 1?)"},
+	} {
+		tm, err := mats.Generate(tc.matrix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]float64, tm.A.Rows)
+		tm.A.MulVec(b, vecmath.Ones(tm.A.Cols))
+		res, err := Tune(tm.A, b, Config{Seed: 1, Precisions: tc.precisions})
+		var errText string
+		if err != nil {
+			errText = err.Error()
+		}
+		if errText != tc.err {
+			t.Errorf("%s %v: error %q, want %q", tc.matrix, tc.precisions, errText, tc.err)
+		}
+		if got := goldenKey(res); got != tc.want {
+			t.Errorf("%s %v:\n got %s\nwant %s", tc.matrix, tc.precisions, got, tc.want)
+		}
 	}
 }
