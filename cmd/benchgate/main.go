@@ -89,6 +89,7 @@ func run(args []string, out io.Writer) int {
 		SchemaVersion: schemaVersion,
 		Date:          time.Now().UTC().Format("2006-01-02"),
 		GoVersion:     runtime.Version(),
+		Machine:       thisMachine(),
 		Quick:         *quick,
 	}
 	for _, c := range suite(*quick) {
@@ -122,6 +123,8 @@ func run(args []string, out io.Writer) int {
 	report.Kernels = kernelRows
 	methodRows, methodProblems := runMethodSuite(*quick, out)
 	report.Methods = methodRows
+	tuneRows, tuneProblems := runTuneSuite(*quick, out)
+	report.Tune = tuneRows
 
 	if !*noWrite {
 		path := filepath.Join(*dir, "BENCH_"+report.Date+".json")
@@ -134,13 +137,13 @@ func run(args []string, out io.Writer) int {
 
 	if base == nil {
 		fmt.Fprintf(out, "benchgate: no baseline found; snapshot becomes the baseline\n")
-		if figProblems+fleetProblems+certifyProblems+sessionProblems+kernelProblems+methodProblems > 0 {
+		if figProblems+fleetProblems+certifyProblems+sessionProblems+kernelProblems+methodProblems+tuneProblems > 0 {
 			return 1
 		}
 		return 0
 	}
 	code := verdict(*base, basePath, report, limits, out)
-	if figProblems+fleetProblems+certifyProblems+sessionProblems+kernelProblems+methodProblems > 0 && code == 0 {
+	if figProblems+fleetProblems+certifyProblems+sessionProblems+kernelProblems+methodProblems+tuneProblems > 0 && code == 0 {
 		code = 1
 	}
 	return code
@@ -186,6 +189,9 @@ func figure11(cases []CaseResult, out io.Writer) int {
 // verdict prints the gate outcome and returns the process exit code.
 func verdict(base Report, basePath string, current Report, lim Limits, out io.Writer) int {
 	fmt.Fprintf(out, "benchgate: comparing against %s\n", basePath)
+	if note := machineNote(base.Machine, current.Machine); note != "" {
+		fmt.Fprintf(out, "benchgate: note: %s\n", note)
+	}
 	problems := Compare(base, current, lim)
 	if len(problems) == 0 {
 		fmt.Fprintf(out, "benchgate: PASS (%d cases gated)\n", len(current.Cases))

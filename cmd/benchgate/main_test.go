@@ -202,3 +202,41 @@ func TestCommittedBaselineLoads(t *testing.T) {
 		}
 	}
 }
+
+// TestTuneProblems: a Result that differs between GOMAXPROCS settings
+// always fails the tuner row; the speedup floor holds only where the row
+// is gated.
+func TestTuneProblems(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		row  TuneScenario
+		want int
+	}{
+		{"same, fast, gated", TuneScenario{CPUs: 4, Speedup: 1.8, SpeedupGated: true, SameResult: true}, 0},
+		{"same, slow, not gated", TuneScenario{CPUs: 2, Speedup: 1.0, SameResult: true}, 0},
+		{"same, slow, gated", TuneScenario{CPUs: 4, Speedup: 1.1, SpeedupGated: true, SameResult: true}, 1},
+		{"different, not gated", TuneScenario{CPUs: 2, Speedup: 1.5}, 1},
+		{"different, slow, gated", TuneScenario{CPUs: 8, Speedup: 1.0, SpeedupGated: true}, 2},
+	} {
+		if got := tuneProblems(tc.row); len(got) != tc.want {
+			t.Errorf("%s: %d problems %q, want %d", tc.name, len(got), got, tc.want)
+		}
+	}
+}
+
+// TestMachineNote: a baseline without a machine block, or with another
+// machine's, draws a note; the same machine draws none.
+func TestMachineNote(t *testing.T) {
+	here := &Machine{NumCPU: 2, GOMAXPROCS: 2, CPUModel: "model A"}
+	same := *here
+	other := Machine{NumCPU: 4, GOMAXPROCS: 4, CPUModel: "model B"}
+	if note := machineNote(nil, here); note == "" {
+		t.Error("baseline without a machine block drew no note")
+	}
+	if note := machineNote(&other, here); !strings.Contains(note, "model B") || !strings.Contains(note, "model A") {
+		t.Errorf("other machine: note %q", note)
+	}
+	if note := machineNote(&same, here); note != "" {
+		t.Errorf("same machine: note %q", note)
+	}
+}

@@ -18,6 +18,10 @@ type Report struct {
 	GoVersion     string       `json:"go_version"`
 	Quick         bool         `json:"quick"`
 	Cases         []CaseResult `json:"cases"`
+	// Machine is the host the report was measured on (additive field;
+	// older baselines lack it, and a comparison across machines is noted,
+	// not gated).
+	Machine *Machine `json:"machine,omitempty"`
 	// TunedVsDefault summarizes each tuned suite row against its
 	// default-configuration counterpart (additive field; older baselines
 	// simply lack it).
@@ -46,6 +50,10 @@ type Report struct {
 	// (additive field; older baselines simply lack it and gate nothing
 	// there).
 	Methods []MethodScenario `json:"methods,omitempty"`
+	// Tune holds the auto-tuner rows: tune.Tune at GOMAXPROCS 1 against
+	// NumCPU, with the Results compared and a speedup floor (additive
+	// field; older baselines simply lack it and gate nothing there).
+	Tune []TuneScenario `json:"tune,omitempty"`
 }
 
 // CaseResult is one benchmark case's measurements. Iteration counts of
@@ -243,5 +251,6 @@ func Compare(base, current Report, lim Limits) []Problem {
 	out = append(out, compareSessions(base, current, lim)...)
 	out = append(out, compareKernels(base, current, lim)...)
 	out = append(out, compareMethods(base, current, lim)...)
+	out = append(out, compareTune(base, current)...)
 	return out
 }

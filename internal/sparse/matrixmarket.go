@@ -3,10 +3,8 @@ package sparse
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -25,23 +23,21 @@ import (
 const maxMMDim = 1 << 24
 
 // maxMMHint caps the entries ReadMatrixMarket preallocates from a size
-// line's count (8 MiB of them): the count comes from outside the program,
+// line's count (12 MiB of them): the count comes from outside the program,
 // so a line declaring billions of entries that never follow must not
 // allocate for them. Larger matrices grow the buffer as entries arrive.
 const maxMMHint = 1 << 19
 
 // ReadMatrixMarket parses a Matrix Market coordinate stream into CSR.
 // Symmetric files must be square and are expanded to full storage.
-// Entries that repeat a position are summed in file order, and a sum of
-// exactly zero is dropped. Up to two entries per position this gives the
-// bits of assembling through COO.ToCSR; for three or more, ToCSR sums in
-// whatever order its sort.Slice leaves them, which need not be file order.
+// The entries are assembled through COO.ToCSR in file order, so entries
+// that repeat a position are summed in file order, and a sum of exactly
+// zero is dropped.
 //
 // Nothing is allocated per entry: lines are scanned as bytes and split at
 // ASCII white space by hand (a non-ASCII byte among the fields sends the
 // line through strings.Fields, so Unicode white space still separates
-// them), and the entries are sorted into their rows by counting instead
-// of a global sort.
+// them), and ToCSR sorts the entries into their rows by counting.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	return ReadMatrixMarketLimit(r, 0)
 }
@@ -130,7 +126,7 @@ func ReadMatrixMarketLimit(r io.Reader, maxRows int) (*CSR, error) {
 	if symmetric {
 		hint = min(2*hint, maxMMHint)
 	}
-	ents := make([]mmEntry, 0, hint)
+	c := &COO{Rows: rows, Cols: cols, I: make([]int, 0, hint), J: make([]int, 0, hint), V: make([]float64, 0, hint)}
 	var fields [3][]byte
 	read := 0
 	for sc.Scan() && read < nnz {
@@ -160,10 +156,10 @@ func ReadMatrixMarketLimit(r io.Reader, maxRows int) (*CSR, error) {
 		if i < 1 || i > rows || j < 1 || j > cols {
 			return nil, fmt.Errorf("matrixmarket: entry (%d,%d) out of range for %dx%d", i, j, rows, cols)
 		}
-		// maxMMDim keeps every index within int32.
-		ents = append(ents, mmEntry{int32(i - 1), int32(j - 1), v})
-		if symmetric && i != j {
-			ents = append(ents, mmEntry{int32(j - 1), int32(i - 1), v})
+		if symmetric {
+			c.AddSym(i-1, j-1, v)
+		} else {
+			c.Add(i-1, j-1, v)
 		}
 		read++
 	}
@@ -173,13 +169,7 @@ func ReadMatrixMarketLimit(r io.Reader, maxRows int) (*CSR, error) {
 	if read < nnz {
 		return nil, fmt.Errorf("matrixmarket: expected %d entries, got %d", nnz, read)
 	}
-	return csrFromEntries(rows, cols, ents), nil
-}
-
-// mmEntry is one parsed entry, 0-based.
-type mmEntry struct {
-	i, j int32
-	v    float64
+	return c.ToCSR(), nil
 }
 
 // appendFields appends the first want fields of line to dst, split at white
@@ -219,54 +209,6 @@ func appendFields(dst [][]byte, line []byte, want int) [][]byte {
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
-
-// csrFromEntries builds the CSR of entries given in file order, by
-// COO.ToCSR's rules (sorted columns, repeats summed, zero sums dropped)
-// without its global sort: a counting sort scatters the entries into their
-// rows in file order, and a stable sort per row orders the columns, so
-// repeats of a position are summed in file order.
-func csrFromEntries(rows, cols int, ents []mmEntry) *CSR {
-	// ptr[i] counts row i-1, then holds row i's start; the scatter advances
-	// it to row i's end.
-	ptr := make([]int, rows+1)
-	for _, e := range ents {
-		ptr[e.i+1]++
-	}
-	for i := range rows {
-		ptr[i+1] += ptr[i]
-	}
-	byRow := make([]mmEntry, len(ents))
-	for _, e := range ents {
-		byRow[ptr[e.i]] = e
-		ptr[e.i]++
-	}
-	// Compact each row in place (the write index never passes the read
-	// index); ptr[i] becomes the compacted row's end.
-	w, lo := 0, 0
-	for i := range rows {
-		row := byRow[lo:ptr[i]]
-		lo = ptr[i]
-		slices.SortStableFunc(row, func(a, b mmEntry) int { return cmp.Compare(a.j, b.j) })
-		for k := 0; k < len(row); {
-			e := row[k]
-			for k++; k < len(row) && row[k].j == e.j; k++ {
-				e.v += row[k].v
-			}
-			if e.v != 0 {
-				byRow[w] = e
-				w++
-			}
-		}
-		ptr[i] = w
-	}
-	copy(ptr[1:], ptr[:rows])
-	ptr[0] = 0
-	m := &CSR{Rows: rows, Cols: cols, RowPtr: ptr, ColIdx: make([]int, w), Val: make([]float64, w)}
-	for k, e := range byRow[:w] {
-		m.ColIdx[k], m.Val[k] = int(e.j), e.v
-	}
-	return m
-}
 
 // WriteMatrixMarket writes the matrix in "coordinate real general" format.
 func WriteMatrixMarket(w io.Writer, m *CSR) error {

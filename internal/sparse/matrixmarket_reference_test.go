@@ -11,8 +11,7 @@ import (
 // readMatrixMarketReference is the COO-based Matrix Market reader that
 // ReadMatrixMarket replaced, kept as the reference the equivalence tests
 // compare against. It returns the unsummed COO builder (symmetric
-// off-diagonals added through AddSym): its ToCSR is the reference CSR,
-// and its entries tell how often each position repeats.
+// off-diagonals added through AddSym): its ToCSR is the reference CSR.
 func readMatrixMarketReference(r io.Reader) (*COO, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)

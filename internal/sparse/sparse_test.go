@@ -78,6 +78,63 @@ func TestCOODuplicatesSummed(t *testing.T) {
 	}
 }
 
+// TestCOOToCSRAssembly pins ToCSR's rules: columns sorted within each
+// row, repeats of a position summed in insertion order (stably sorted
+// along with their row), and sums of exactly zero dropped. In floating
+// point the order matters: 1e16 + 1 − 1e16 is 0, while 1e16 − 1e16 + 1
+// is 1.
+func TestCOOToCSRAssembly(t *testing.T) {
+	type entry struct {
+		i, j int
+		v    float64
+	}
+	// A long row in descending column order, so a sort that is not stable
+	// could reorder the repeats of column 5 spread through it.
+	var long []entry
+	for j := 19; j >= 0; j-- {
+		if j != 5 {
+			long = append(long, entry{0, j, float64(j + 1)})
+		}
+		switch j {
+		case 15:
+			long = append(long, entry{0, 5, 1e16})
+		case 10:
+			long = append(long, entry{0, 5, -1e16})
+		case 0:
+			long = append(long, entry{0, 5, 1})
+		}
+	}
+	for _, tc := range []struct {
+		name       string
+		rows, cols int
+		entries    []entry
+		want       *CSR
+	}{
+		{"no entries", 2, 3, nil,
+			&CSR{Rows: 2, Cols: 3, RowPtr: []int{0, 0, 0}}},
+		{"unsorted rows", 2, 3, []entry{{1, 2, 5}, {0, 2, 1}, {1, 0, 4}, {0, 0, 2}, {1, 1, 3}},
+			&CSR{Rows: 2, Cols: 3, RowPtr: []int{0, 2, 5}, ColIdx: []int{0, 2, 0, 1, 2}, Val: []float64{2, 1, 4, 3, 5}}},
+		{"empty rows", 4, 3, []entry{{3, 0, 1}, {1, 2, 5}},
+			&CSR{Rows: 4, Cols: 3, RowPtr: []int{0, 0, 1, 1, 2}, ColIdx: []int{2, 0}, Val: []float64{5, 1}}},
+		{"zero sums dropped", 2, 2, []entry{{0, 1, 3}, {0, 0, 1}, {0, 1, -3}, {1, 1, 0}},
+			&CSR{Rows: 2, Cols: 2, RowPtr: []int{0, 1, 1}, ColIdx: []int{0}, Val: []float64{1}}},
+		{"insertion order", 2, 2, []entry{{0, 0, 1e16}, {1, 1, 1e16}, {0, 0, 1}, {1, 0, 2}, {1, 1, -1e16}, {0, 0, -1e16}, {1, 1, 1}},
+			&CSR{Rows: 2, Cols: 2, RowPtr: []int{0, 0, 2}, ColIdx: []int{0, 1}, Val: []float64{2, 1}}},
+		{"insertion order in a long row", 1, 20, long,
+			&CSR{Rows: 1, Cols: 20, RowPtr: []int{0, 20},
+				ColIdx: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19},
+				Val:    []float64{1, 2, 3, 4, 5, 1, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20}}},
+	} {
+		c := NewCOO(tc.rows, tc.cols)
+		for _, e := range tc.entries {
+			c.Add(e.i, e.j, e.v)
+		}
+		if msg := csrBitsDiffer(c.ToCSR(), tc.want); msg != "" {
+			t.Errorf("%s: %s", tc.name, msg)
+		}
+	}
+}
+
 func TestCOOAddPanicsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -3,6 +3,9 @@ package tune
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/gpusim"
@@ -18,21 +21,12 @@ type Config struct {
 	LocalIters []int
 	// ProbeIters is the length of each probe solve (default 25).
 	ProbeIters int
-	// Model prices the configurations (default gpusim.CalibratedModel).
-	Model *gpusim.PerfModel
 	// Seed drives every probe solve, making the whole search deterministic.
 	Seed int64
 	// OmegaProbes budgets the golden-section ω refinement: at most this
 	// many probe solves after the (block size, k) grid (default 8).
 	// Negative disables the ω stage entirely and keeps ω = 1.
 	OmegaProbes int
-	// SpectralSteps is the Lanczos iteration count used to center the ω
-	// bracket at τ = 2/(λ₁+λ_n) of the normalized matrix (default 32).
-	SpectralSteps int
-	// Engine selects the probe engine (default core.EngineSimulated, the
-	// deterministic one — probes should measure the configuration, not the
-	// scheduler's mood).
-	Engine core.EngineKind
 	// Kernels are the candidate sweep-kernel dispatches for the post-grid
 	// kernel stage. Default: core.KernelCSR and core.KernelSELL, plus
 	// core.KernelStencil when the matrix detects stencil structure. The
@@ -45,14 +39,18 @@ type Config struct {
 	// iterate traffic against the rounding's effect on the contraction
 	// rate, which it measures with one extra probe solve.
 	Precisions []string
-	// Betas are the candidate momentum coefficients of the method stage,
-	// which probes the second-order Richardson rule (core.RuleRichardson2)
-	// at the winning (block size, k, ω) and keeps it when it beats the
-	// first-order rule on modeled time per digit. Default {0.1, 0.3, 0.5};
-	// MethodProbes < 0 disables the stage entirely (mirroring OmegaProbes).
-	Betas        []float64
-	MethodProbes int
 }
+
+// spectralSteps is the Lanczos iteration count used to center the ω
+// bracket at τ = 2/(λ₁+λ_n) of the normalized matrix.
+const spectralSteps = 32
+
+// methodBetas are the candidate momentum coefficients of the method stage.
+var methodBetas = []float64{0.1, 0.3, 0.5}
+
+// model prices every candidate: the calibrated per-iteration cost of the
+// paper's Fermi C2070.
+var model = gpusim.CalibratedModel()
 
 func (c Config) withDefaults() Config {
 	if len(c.BlockSizes) == 0 {
@@ -64,21 +62,11 @@ func (c Config) withDefaults() Config {
 	if c.ProbeIters <= 0 {
 		c.ProbeIters = 25
 	}
-	if c.Model == nil {
-		m := gpusim.CalibratedModel()
-		c.Model = &m
-	}
 	if c.OmegaProbes == 0 {
 		c.OmegaProbes = 8
 	}
-	if c.SpectralSteps <= 0 {
-		c.SpectralSteps = 32
-	}
 	if len(c.Precisions) == 0 {
 		c.Precisions = []string{core.PrecF64}
-	}
-	if len(c.Betas) == 0 {
-		c.Betas = []float64{0.1, 0.3, 0.5}
 	}
 	return c
 }
@@ -99,8 +87,8 @@ type Result struct {
 	// Probed counts grid configurations evaluated; Skipped counts those
 	// that failed to contract during the probe (e.g. divergent).
 	Probed, Skipped int
-	// ProbeSolves counts every short solve executed, grid and ω stages
-	// combined — the work a tuning cache hit saves.
+	// ProbeSolves counts every short solve executed, all stages combined —
+	// the work a tuning cache hit saves.
 	ProbeSolves int
 	// OmegaBracket is the ω interval the golden-section stage searched;
 	// OmegaFromSpectral reports whether its center came from the Lanczos
@@ -129,6 +117,12 @@ type Result struct {
 // across all k candidates; the ω stage reuses the winning plan. Tune
 // returns an error if no grid candidate contracts at all (the ρ(|B|) ≥ 1
 // case — no parameter choice can fix s1rmt3m1).
+//
+// Every probe is a seeded solve on the deterministic simulated engine, so
+// the probes of the grid and method stages, which do not depend on each
+// other, run side by side (probeAll) and are folded in grid order: the
+// Result is the same at any GOMAXPROCS. The ω stage is serial, each
+// golden-section point following from the previous comparison.
 func Tune(a *sparse.CSR, b []float64, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	best := Result{Omega: 1, SecondsPerDigit: math.Inf(1)}
@@ -148,30 +142,47 @@ func Tune(a *sparse.CSR, b []float64, cfg Config) (Result, error) {
 		// the single-block plan, whose local solve is exact.
 		blockSizes = []int{a.Rows}
 	}
+	// The grid in search order; a block size whose plan fails to build
+	// keeps its points, without a plan, to be counted as skipped.
+	type point struct {
+		plan  *core.Plan
+		bs, k int
+	}
+	var grid []point
 	for _, bs := range blockSizes {
 		if bs > a.Rows {
 			continue // degenerate duplicates of the single-block case
 		}
 		plan, err := core.NewPlan(a, bs, false)
 		if err != nil {
-			best.Skipped += len(cfg.LocalIters)
-			best.Probed += len(cfg.LocalIters)
-			continue
+			plan = nil
 		}
 		for _, k := range cfg.LocalIters {
-			best.Probed++
-			rate, perDigit, ok := cfg.probe(plan, b, k, 1, core.RuleJacobi, 0, core.PrecF64, &best)
-			if !ok {
-				best.Skipped++
-				continue
-			}
-			if perDigit < best.SecondsPerDigit {
-				best.BlockSize = bs
-				best.LocalIters = k
-				best.Rate = rate
-				best.SecondsPerDigit = perDigit
-				bestPlan = plan
-			}
+			grid = append(grid, point{plan, bs, k})
+		}
+	}
+	scores := make([]score, len(grid))
+	probeAll(len(grid), func(i int) {
+		if p := grid[i]; p.plan != nil {
+			scores[i] = cfg.probe(p.plan, b, p.k, 1, core.RuleJacobi, 0, core.PrecF64)
+		}
+	})
+	for i, p := range grid {
+		best.Probed++
+		if p.plan != nil {
+			best.ProbeSolves++
+		}
+		s := scores[i]
+		if !s.ok {
+			best.Skipped++
+			continue
+		}
+		if s.perDigit < best.SecondsPerDigit {
+			best.BlockSize = p.bs
+			best.LocalIters = p.k
+			best.Rate = s.rate
+			best.SecondsPerDigit = s.perDigit
+			bestPlan = p.plan
 		}
 	}
 	if math.IsInf(best.SecondsPerDigit, 1) {
@@ -180,11 +191,36 @@ func Tune(a *sparse.CSR, b []float64, cfg Config) (Result, error) {
 	if cfg.OmegaProbes > 0 {
 		cfg.refineOmega(a, b, bestPlan, &best)
 	}
-	if cfg.MethodProbes >= 0 {
-		cfg.methodStage(b, bestPlan, &best)
-	}
+	cfg.methodStage(b, bestPlan, &best)
 	cfg.kernelStage(a, b, bestPlan, &best)
 	return best, nil
+}
+
+// probeAll runs probe(0), …, probe(n−1) on min(GOMAXPROCS, n) goroutines
+// that take indices from a shared counter, and returns when all are done;
+// with one goroutine the list runs inline, in order. Each probe must be
+// independent of the others and write only its own slot, which the caller
+// folds in index order afterwards.
+func probeAll(n int, probe func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := range n {
+			probe(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				probe(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // methodStage probes the second-order Richardson rule at the winning
@@ -194,16 +230,21 @@ func Tune(a *sparse.CSR, b []float64, cfg Config) (Result, error) {
 // (one extra fused multiply-add and the trail's vector traffic are below
 // the model's resolution), so the comparison is rate against rate.
 func (cfg Config) methodStage(b []float64, plan *core.Plan, best *Result) {
-	for _, beta := range cfg.Betas {
-		rate, perDigit, ok := cfg.probe(plan, b, best.LocalIters, best.Omega, core.RuleRichardson2, beta, core.PrecF64, best)
-		if !ok {
+	k, omega := best.LocalIters, best.Omega
+	scores := make([]score, len(methodBetas))
+	probeAll(len(methodBetas), func(i int) {
+		scores[i] = cfg.probe(plan, b, k, omega, core.RuleRichardson2, methodBetas[i], core.PrecF64)
+	})
+	best.ProbeSolves += len(methodBetas)
+	for i, s := range scores {
+		if !s.ok {
 			continue // diverged or stagnated: momentum loses by default
 		}
-		if perDigit < best.SecondsPerDigit {
+		if s.perDigit < best.SecondsPerDigit {
 			best.Method = core.RuleRichardson2
-			best.Beta = beta
-			best.Rate = rate
-			best.SecondsPerDigit = perDigit
+			best.Beta = methodBetas[i]
+			best.Rate = s.rate
+			best.SecondsPerDigit = s.perDigit
 		}
 	}
 }
@@ -253,14 +294,21 @@ func (cfg Config) kernelStage(a *sparse.CSR, b []float64, bestPlan *core.Plan, b
 			kernels = append(kernels, core.KernelStencil)
 		}
 	}
-	rates := make(map[string]float64, len(cfg.Precisions))
+	// The candidates' rates in Config.Precisions order, so a tie goes to
+	// the precision listed first.
+	type precRate struct {
+		prec string
+		rate float64
+	}
+	var rates []precRate
 	for _, prec := range cfg.Precisions {
 		if prec == "" || prec == core.PrecF64 {
-			rates[core.PrecF64] = best.Rate
+			rates = append(rates, precRate{core.PrecF64, best.Rate})
 			continue
 		}
-		if rate, _, ok := cfg.probe(bestPlan, b, best.LocalIters, best.Omega, best.Method, best.Beta, prec, best); ok {
-			rates[prec] = rate
+		best.ProbeSolves++
+		if s := cfg.probe(bestPlan, b, best.LocalIters, best.Omega, best.Method, best.Beta, prec); s.ok {
+			rates = append(rates, precRate{prec, s.rate})
 		}
 	}
 	best.Kernel = core.KernelCSR
@@ -280,18 +328,18 @@ func (cfg Config) kernelStage(a *sparse.CSR, b []float64, bestPlan *core.Plan, b
 			}
 			traffic = kernelTraffic(plan)
 		}
-		for prec, rate := range rates {
+		for _, r := range rates {
 			pt := traffic
-			if prec == core.PrecF32 {
+			if r.prec == core.PrecF32 {
 				pt *= f32Traffic
 			}
-			iterTime := cfg.Model.AsyncIterTimeKernel(m.Rows, m.NNZ(), best.LocalIters, pt)
-			perDigit := iterTime * math.Ln10 / -math.Log(rate)
+			iterTime := model.AsyncIterTimeKernel(m.Rows, m.NNZ(), best.LocalIters, pt)
+			perDigit := iterTime * math.Ln10 / -math.Log(r.rate)
 			if perDigit < best.SecondsPerDigit {
 				best.Kernel = k
-				best.Precision = prec
+				best.Precision = r.prec
 				best.KernelTraffic = pt
-				best.Rate = rate
+				best.Rate = r.rate
 				best.SecondsPerDigit = perDigit
 			}
 		}
@@ -306,7 +354,7 @@ func (cfg Config) kernelStage(a *sparse.CSR, b []float64, bestPlan *core.Plan, b
 // keeps ω = 1.
 func (cfg Config) refineOmega(a *sparse.CSR, b []float64, plan *core.Plan, best *Result) {
 	lo, hi := 0.5, 1.5
-	if tau, err := spectral.TauScaling(a, cfg.SpectralSteps, cfg.Seed+1); err == nil && tau > 0 && tau < 2 {
+	if tau, err := spectral.TauScaling(a, spectralSteps, cfg.Seed+1); err == nil && tau > 0 && tau < 2 {
 		lo, hi = tau-0.5, tau+0.5
 		best.OmegaFromSpectral = true
 	}
@@ -319,25 +367,33 @@ func (cfg Config) refineOmega(a *sparse.CSR, b []float64, plan *core.Plan, best 
 	best.OmegaBracket = [2]float64{lo, hi}
 	k := best.LocalIters
 	GoldenSection(func(w float64) float64 {
-		rate, perDigit, ok := cfg.probe(plan, b, k, w, core.RuleJacobi, 0, core.PrecF64, best)
-		if !ok {
+		best.ProbeSolves++
+		s := cfg.probe(plan, b, k, w, core.RuleJacobi, 0, core.PrecF64)
+		if !s.ok {
 			return math.Inf(1)
 		}
-		if perDigit < best.SecondsPerDigit {
+		if s.perDigit < best.SecondsPerDigit {
 			best.Omega = w
-			best.Rate = rate
-			best.SecondsPerDigit = perDigit
+			best.Rate = s.rate
+			best.SecondsPerDigit = s.perDigit
 		}
-		return perDigit
+		return s.perDigit
 	}, lo, hi, 1e-2, cfg.OmegaProbes)
+}
+
+// score is one probe's outcome: the measured contraction rate and its
+// modeled seconds per digit; ok is false when the probe failed to contract
+// (divergence, stagnation, exact zero).
+type score struct {
+	rate, perDigit float64
+	ok             bool
 }
 
 // probe runs one short seeded solve on the warm plan and scores it:
 // geometric-mean contraction rate over the recorded history, priced by the
-// model's per-iteration cost as seconds per decimal digit. ok is false
-// when the probe fails to contract (divergence, stagnation, exact zero).
-func (cfg Config) probe(p *core.Plan, b []float64, k int, omega float64, method core.RuleKind, beta float64, precision string, r *Result) (rate, perDigit float64, ok bool) {
-	r.ProbeSolves++
+// model's per-iteration cost as seconds per decimal digit. It reads only
+// its arguments, so probes may run side by side.
+func (cfg Config) probe(p *core.Plan, b []float64, k int, omega float64, method core.RuleKind, beta float64, precision string) score {
 	res, err := core.SolveWithPlan(p, b, core.Options{
 		BlockSize:      p.BlockSize(),
 		LocalIters:     k,
@@ -348,20 +404,19 @@ func (cfg Config) probe(p *core.Plan, b []float64, k int, omega float64, method 
 		MaxGlobalIters: cfg.ProbeIters,
 		RecordHistory:  true,
 		Seed:           cfg.Seed,
-		Engine:         cfg.Engine,
+		Engine:         core.EngineSimulated,
 	})
 	if err != nil || len(res.History) < 2 {
-		return 0, 0, false
+		return score{}
 	}
 	h := res.History
 	first, last := h[0], h[len(h)-1]
 	if !(last > 0) || !(first > 0) || last >= first {
-		return 0, 0, false // not contracting (or already at exact zero)
+		return score{} // not contracting (or already at exact zero)
 	}
-	rate = math.Pow(last/first, 1/float64(len(h)-1))
+	rate := math.Pow(last/first, 1/float64(len(h)-1))
 	m := p.Matrix()
-	iterTime := cfg.Model.AsyncIterTime(m.Rows, m.NNZ(), k)
+	iterTime := model.AsyncIterTime(m.Rows, m.NNZ(), k)
 	// Iterations per decimal digit: ln(10)/(−ln rate).
-	perDigit = iterTime * math.Ln10 / -math.Log(rate)
-	return rate, perDigit, true
+	return score{rate, iterTime * math.Ln10 / -math.Log(rate), true}
 }
