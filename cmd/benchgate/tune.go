@@ -62,34 +62,30 @@ func runTuneSuite(quick bool, out io.Writer) ([]TuneScenario, int) {
 
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
+	procs := [2]int{1, row.CPUs}
+	var best [2]float64
 	var first *tune.Result
 	for rep := 0; rep < reps; rep++ {
-		sides := []int{1, row.CPUs}
-		if rep%2 == 1 {
-			sides[0], sides[1] = sides[1], sides[0]
-		}
-		for _, procs := range sides {
-			runtime.GOMAXPROCS(procs)
+		for k := range 2 {
+			side := (rep + k) % 2 // alternate which side runs first
+			runtime.GOMAXPROCS(procs[side])
 			start := time.Now()
 			res, err := tune.Tune(a, b, tune.Config{Seed: 1})
 			elapsed := time.Since(start).Seconds()
 			if err != nil {
-				fmt.Fprintf(out, "benchgate: REGRESSION %s: tune at GOMAXPROCS %d: %v\n", row.Name, procs, err)
+				fmt.Fprintf(out, "benchgate: REGRESSION %s: tune at GOMAXPROCS %d: %v\n", row.Name, procs[side], err)
 				return []TuneScenario{row}, 1
 			}
 			if first == nil {
 				first = &res
 			}
 			row.SameResult = row.SameResult && res == *first
-			best := &row.ParallelSeconds
-			if procs == 1 {
-				best = &row.SerialSeconds
-			}
-			if *best == 0 || elapsed < *best {
-				*best = elapsed
+			if best[side] == 0 || elapsed < best[side] {
+				best[side] = elapsed
 			}
 		}
 	}
+	row.SerialSeconds, row.ParallelSeconds = best[0], best[1]
 	row.ProbeSolves = first.ProbeSolves
 	if row.ParallelSeconds > 0 {
 		row.Speedup = row.SerialSeconds / row.ParallelSeconds

@@ -13,10 +13,16 @@
 //
 //   - a small grid over (block size, k) — paper-representative block
 //     sizes × k ∈ {1..8} — evaluated by short seeded probe solves that
-//     reuse one core.Plan per block size;
+//     reuse one core.Plan per block size. The probes do not depend on
+//     each other, so they run side by side on up to GOMAXPROCS
+//     goroutines and are folded in grid order: the Result is the same,
+//     bit for bit, at any GOMAXPROCS;
 //   - a golden-section refinement of ω at the winning (block size, k),
 //     bracketing around the spectral estimate τ = 2/(λ₁+λ_n) from
-//     internal/spectral (the paper's §4.2 scaled-Jacobi weight);
+//     internal/spectral (the paper's §4.2 scaled-Jacobi weight). This
+//     stage is serial: each point follows from the previous comparison;
+//   - a method stage that probes the second-order Richardson rule at
+//     β ∈ {0.1, 0.3, 0.5}, its probes side by side like the grid's;
 //   - every candidate scored by modeled seconds per decimal digit of
 //     residual reduction: the probe's measured contraction rate combined
 //     with the calibrated per-iteration hardware cost from
