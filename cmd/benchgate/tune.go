@@ -39,8 +39,8 @@ type TuneScenario struct {
 
 // tuneSpeedupFloor is the enforced serial/parallel ratio on gated (≥4
 // core) machines, as batchSpeedupFloor is for batches: 28 of a default
-// search's 36 probes run side by side, so anything under this means the
-// stages serialized.
+// search's 36 probes run side by side (five k probes per block size, then
+// three β probes), so anything under this means the stages serialized.
 const tuneSpeedupFloor = 1.3
 
 // runTuneSuite measures the tuner row and returns it with the count of

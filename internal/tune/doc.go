@@ -13,10 +13,12 @@
 //
 //   - a small grid over (block size, k) — paper-representative block
 //     sizes × k ∈ {1..8} — evaluated by short seeded probe solves that
-//     reuse one core.Plan per block size. The probes do not depend on
-//     each other, so they run side by side on up to GOMAXPROCS
-//     goroutines and are folded in grid order: the Result is the same,
-//     bit for bit, at any GOMAXPROCS;
+//     reuse one core.Plan per block size. A block size's k probes do
+//     not depend on each other, so they run side by side on up to
+//     GOMAXPROCS goroutines and are folded in grid order: the Result is
+//     the same, bit for bit, at any GOMAXPROCS. Block sizes run one
+//     after another, so at most two plans are alive at once: the one
+//     being probed and the best so far;
 //   - a golden-section refinement of ω at the winning (block size, k),
 //     bracketing around the spectral estimate τ = 2/(λ₁+λ_n) from
 //     internal/spectral (the paper's §4.2 scaled-Jacobi weight). This

@@ -113,16 +113,18 @@ type Result struct {
 
 // Tune searches (block size, local iterations, ω) for the given system and
 // returns the configuration with the lowest modeled time per digit of
-// residual reduction. The grid stage reuses one core.Plan per block size
-// across all k candidates; the ω stage reuses the winning plan. Tune
-// returns an error if no grid candidate contracts at all (the ρ(|B|) ≥ 1
-// case — no parameter choice can fix s1rmt3m1).
+// residual reduction. The grid stage builds one core.Plan per block size,
+// reuses it across all k candidates and keeps it only while it holds the
+// winner, so at most two plans are alive at once; the ω stage reuses the
+// winning plan. Tune returns an error if no grid candidate contracts at
+// all (the ρ(|B|) ≥ 1 case — no parameter choice can fix s1rmt3m1).
 //
 // Every probe is a seeded solve on the deterministic simulated engine, so
-// the probes of the grid and method stages, which do not depend on each
-// other, run side by side (probeAll) and are folded in grid order: the
-// Result is the same at any GOMAXPROCS. The ω stage is serial, each
-// golden-section point following from the previous comparison.
+// the probes that do not depend on each other — one block size's k
+// candidates, the method stage's β candidates — run side by side
+// (probeAll) and are folded in grid order: the Result is the same at any
+// GOMAXPROCS. The ω stage is serial, each golden-section point following
+// from the previous comparison.
 func Tune(a *sparse.CSR, b []float64, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	best := Result{Omega: 1, SecondsPerDigit: math.Inf(1)}
@@ -142,47 +144,34 @@ func Tune(a *sparse.CSR, b []float64, cfg Config) (Result, error) {
 		// the single-block plan, whose local solve is exact.
 		blockSizes = []int{a.Rows}
 	}
-	// The grid in search order; a block size whose plan fails to build
-	// keeps its points, without a plan, to be counted as skipped.
-	type point struct {
-		plan  *core.Plan
-		bs, k int
-	}
-	var grid []point
 	for _, bs := range blockSizes {
 		if bs > a.Rows {
 			continue // degenerate duplicates of the single-block case
 		}
+		ks := cfg.LocalIters
+		best.Probed += len(ks)
 		plan, err := core.NewPlan(a, bs, false)
 		if err != nil {
-			plan = nil
-		}
-		for _, k := range cfg.LocalIters {
-			grid = append(grid, point{plan, bs, k})
-		}
-	}
-	scores := make([]score, len(grid))
-	probeAll(len(grid), func(i int) {
-		if p := grid[i]; p.plan != nil {
-			scores[i] = cfg.probe(p.plan, b, p.k, 1, core.RuleJacobi, 0, core.PrecF64)
-		}
-	})
-	for i, p := range grid {
-		best.Probed++
-		if p.plan != nil {
-			best.ProbeSolves++
-		}
-		s := scores[i]
-		if !s.ok {
-			best.Skipped++
+			best.Skipped += len(ks)
 			continue
 		}
-		if s.perDigit < best.SecondsPerDigit {
-			best.BlockSize = p.bs
-			best.LocalIters = p.k
-			best.Rate = s.rate
-			best.SecondsPerDigit = s.perDigit
-			bestPlan = p.plan
+		scores := make([]score, len(ks))
+		probeAll(len(ks), func(i int) {
+			scores[i] = cfg.probe(plan, b, ks[i], 1, core.RuleJacobi, 0, core.PrecF64)
+		})
+		best.ProbeSolves += len(ks)
+		for i, s := range scores {
+			if !s.ok {
+				best.Skipped++
+				continue
+			}
+			if s.perDigit < best.SecondsPerDigit {
+				best.BlockSize = bs
+				best.LocalIters = ks[i]
+				best.Rate = s.rate
+				best.SecondsPerDigit = s.perDigit
+				bestPlan = plan
+			}
 		}
 	}
 	if math.IsInf(best.SecondsPerDigit, 1) {
@@ -198,17 +187,11 @@ func Tune(a *sparse.CSR, b []float64, cfg Config) (Result, error) {
 
 // probeAll runs probe(0), …, probe(n−1) on min(GOMAXPROCS, n) goroutines
 // that take indices from a shared counter, and returns when all are done;
-// with one goroutine the list runs inline, in order. Each probe must be
-// independent of the others and write only its own slot, which the caller
-// folds in index order afterwards.
+// one goroutine takes them in order. Each probe must be independent of the
+// others and write only its own slot, which the caller folds in index
+// order afterwards.
 func probeAll(n int, probe func(i int)) {
 	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers <= 1 {
-		for i := range n {
-			probe(i)
-		}
-		return
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
