@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -11,7 +12,7 @@ import (
 // readMatrixMarketReference is the COO-based Matrix Market reader that
 // ReadMatrixMarket replaced, kept as the reference the equivalence tests
 // compare against. It returns the unsummed COO builder (symmetric
-// off-diagonals added through AddSym): its ToCSR is the reference CSR.
+// off-diagonals added through AddSym); referenceCSR assembles it.
 func readMatrixMarketReference(r io.Reader) (*COO, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -116,4 +117,35 @@ func readMatrixMarketReference(r io.Reader) (*COO, error) {
 		return nil, fmt.Errorf("matrixmarket: expected %d entries, got %d", nnz, read)
 	}
 	return coo, nil
+}
+
+// referenceCSR assembles c without COO.ToCSR, so that the tests comparing
+// against it check the reader and ToCSR together: one stable sort of all
+// entries by (row, column), repeats of a position summed in insertion
+// order, and sums of exactly zero dropped.
+func referenceCSR(c *COO) *CSR {
+	order := make([]int, c.NNZ())
+	for k := range order {
+		order[k] = k
+	}
+	sort.SliceStable(order, func(x, y int) bool {
+		p, q := order[x], order[y]
+		return c.I[p] < c.I[q] || c.I[p] == c.I[q] && c.J[p] < c.J[q]
+	})
+	m := &CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: make([]int, c.Rows+1)}
+	for x := 0; x < len(order); {
+		i, j, v := c.I[order[x]], c.J[order[x]], c.V[order[x]]
+		for x++; x < len(order) && c.I[order[x]] == i && c.J[order[x]] == j; x++ {
+			v += c.V[order[x]]
+		}
+		if v != 0 {
+			m.ColIdx = append(m.ColIdx, j)
+			m.Val = append(m.Val, v)
+			m.RowPtr[i+1]++
+		}
+	}
+	for i := range c.Rows {
+		m.RowPtr[i+1] += m.RowPtr[i]
+	}
+	return m
 }
