@@ -240,3 +240,20 @@ func TestMachineNote(t *testing.T) {
 		t.Errorf("same machine: note %q", note)
 	}
 }
+
+// TestHostSweepProblem: the host Table 4 row fails when async-(9) costs
+// under ×1.5 async-(1), the reading of a kernel that skips its sweeps.
+func TestHostSweepProblem(t *testing.T) {
+	row := func(k9 float64) HostSweepScenario {
+		return HostSweepScenario{Cost: []HostSweepCost{
+			{K: 1, Ratio: Spread{Median: 1, Min: 1, Max: 1}},
+			{K: 9, Ratio: Spread{Median: k9, Min: k9, Max: k9}},
+		}}
+	}
+	if p := hostSweepProblem(row(3.1)); p != "" {
+		t.Errorf("×3.1 flagged: %s", p)
+	}
+	if p := hostSweepProblem(row(1.02)); p == "" {
+		t.Error("×1.02 (sweeps skipped) passed")
+	}
+}

@@ -54,6 +54,11 @@ type Report struct {
 	// NumCPU, with the Results compared and a speedup floor (additive
 	// field; older baselines simply lack it and gate nothing there).
 	Tune []TuneScenario `json:"tune,omitempty"`
+	// HostSweep holds the host Table 4 rows: async-(1) ns per nonzero and
+	// each k's cost relative to async-(1), measured on this machine's
+	// cores (additive field; older baselines simply lack it, and nothing
+	// here is gated against a baseline).
+	HostSweep []HostSweepScenario `json:"hostsweep,omitempty"`
 }
 
 // CaseResult is one benchmark case's measurements. Iteration counts of

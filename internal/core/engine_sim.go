@@ -117,11 +117,16 @@ type mixReader struct {
 }
 
 func (m *mixReader) Load(j int) float64 {
-	if m.rng.Float64() < freshProb {
+	if m.fresh() {
 		return m.live[j]
 	}
 	return m.snap[j]
 }
+
+// fresh draws one read's coin: true, with probability freshProb, when the
+// read observes the live value. Kept out of Load so Load stays small
+// enough to inline into the kernels' gather loop.
+func (m *mixReader) fresh() bool { return m.rng.Float64() < freshProb }
 
 // countingReader wraps a valueReader to record Chazan–Miranker shift
 // statistics: for every off-block read it computes how many global
@@ -171,17 +176,11 @@ func residualInto(r []float64, a *sparse.CSR, b, x []float64) float64 {
 
 // residualRows fills r[lo:hi] with the residual rows b_i − (Ax)_i: the one
 // residual formula of the exact checks, whichever executor runs them. Each
-// row is summed in CSR order, as sparse.CSR.MulVec sums it, so any split of
-// the rows into ranges yields the same bits. The CSR arrays are read into
-// locals so the inner loop does not reload them through a.
+// row is sparse.CSR.RowDot, the row loop sparse.CSR.MulVec runs, so any
+// split of the rows into ranges yields MulVec's bits.
 func residualRows(r []float64, a *sparse.CSR, b, x []float64, lo, hi int) {
-	ptr, cols, vals := a.RowPtr, a.ColIdx, a.Val
 	for i := lo; i < hi; i++ {
-		var s float64
-		for p := ptr[i]; p < ptr[i+1]; p++ {
-			s += vals[p] * x[cols[p]]
-		}
-		r[i] = b[i] - s
+		r[i] = b[i] - a.RowDot(i, x)
 	}
 }
 

@@ -194,6 +194,23 @@ type kernelFunc func(a *sparse.CSR, sp *sparse.Splitting, b []float64, v *blockV
 // that is the asynchronous part; the kernel itself is oblivious to it.
 func runBlockKernel(a *sparse.CSR, sp *sparse.Splitting, b []float64, v *blockView,
 	k int, rule *updateRule, offRead, locRead valueReader, write valueWriter, scr *kernelScratch) float64 {
+	return runStaged(csrSweep, sp, b, v, k, rule, offRead, locRead, write, scr)
+}
+
+// sweepFunc runs one first-order local sweep of a staged kernel over the
+// block: for every row r, xnew[r] = (1−ω)·xloc[r] + ω·acc·invd[r] with
+// acc = s[r] minus the row's non-diagonal in-block entries times xloc,
+// subtracted in ascending column order. Every staged kernel (packed CSR,
+// SELL, stencil) keeps exactly this floating-point sequence, which is what
+// makes their iterates bit-identical.
+type sweepFunc func(v *blockView, s, xloc, xnew, invd []float64, omega float64)
+
+// runStaged is the block execution every staged kernel shares: the fused
+// gather, k sweeps of the kernel's sweepFunc under the solve's update rule,
+// and the publish. The return value is the squared update norm
+// ‖x_J^new − x_J^old‖₂².
+func runStaged(sweep sweepFunc, sp *sparse.Splitting, b []float64, v *blockView,
+	k int, rule *updateRule, offRead, locRead valueReader, write valueWriter, scr *kernelScratch) float64 {
 
 	omega := rule.omega
 	bs := v.hi - v.lo
@@ -202,64 +219,147 @@ func runBlockKernel(a *sparse.CSR, sp *sparse.Splitting, b []float64, v *blockVi
 	xnew := scr.xnew[:bs]
 	x0 := scr.x0[:bs]
 	invd := sp.InvDiag[v.lo:v.hi]
-
-	// Fused gather: one streaming pass over the packed off-block entries
-	// computes the frozen right-hand side and loads the block's starting
-	// values.
-	for r := 0; r < bs; r++ {
-		acc := b[v.lo+r]
-		for p := v.offPtr[r]; p < v.offPtr[r+1]; p++ {
-			acc -= v.offVal[p] * offRead.Load(int(v.offCols[p]))
-		}
-		s[r] = acc
-		xv := locRead.Load(v.lo + r)
-		xloc[r] = xv
-		x0[r] = xv
-	}
+	gather(b, v, offRead, locRead, s, xloc, x0)
 
 	if rule.beta != 0 && rule.prev != nil {
 		// Second-order (momentum) sweeps: each sweep adds β(x_k − x_{k−1})
-		// to the first-order update and rotates the three buffers so x_k
-		// becomes the next sweep's x_{k−1}. The trail persists across block
-		// executions through rule.prev, written back after the last sweep.
+		// to the first-order update as a post-pass, fl(fl(first-order) +
+		// fl(β·Δ)) — the rounding of the reference kernel's one-expression
+		// form — and rotates the three buffers so x_k becomes the next
+		// sweep's x_{k−1}. The trail persists across block executions
+		// through rule.prev, written back after the last sweep.
 		beta := rule.beta
 		xprev := scr.xprev[:bs]
 		prev := rule.prev[v.lo:v.hi]
 		copy(xprev, prev)
-		for sweep := 0; sweep < k; sweep++ {
-			for r := 0; r < bs; r++ {
-				acc := s[r]
-				for p := v.locPtr[r]; p < v.locPtr[r+1]; p++ {
-					acc -= v.locVal[p] * xloc[v.locCols[p]]
-				}
-				xnew[r] = (1-omega)*xloc[r] + omega*acc*invd[r] + beta*(xloc[r]-xprev[r])
+		for it := 0; it < k; it++ {
+			sweep(v, s, xloc, xnew, invd, omega)
+			for r := range xnew {
+				xnew[r] += beta * (xloc[r] - xprev[r])
 			}
 			xprev, xloc, xnew = xloc, xnew, xprev
 		}
 		storeMomentum(prev, xprev, rule.f32)
 	} else {
-		// k synchronous Jacobi sweeps streaming the packed local sub-CSR
-		// (diagonal structurally excluded, columns block-local).
-		for sweep := 0; sweep < k; sweep++ {
-			for r := 0; r < bs; r++ {
-				acc := s[r]
-				for p := v.locPtr[r]; p < v.locPtr[r+1]; p++ {
-					acc -= v.locVal[p] * xloc[v.locCols[p]]
-				}
-				xnew[r] = (1-omega)*xloc[r] + omega*acc*invd[r]
-			}
+		for it := 0; it < k; it++ {
+			sweep(v, s, xloc, xnew, invd, omega)
 			xloc, xnew = xnew, xloc
 		}
 	}
+	return publish(write, v.lo, xloc, x0)
+}
 
-	// Publish the block's components to global memory, accumulating the
-	// squared update norm for the incremental residual estimate.
+// csrSweep is the packed-CSR sweep: it streams the block's local sub-CSR
+// (diagonal structurally excluded, columns block-local).
+func csrSweep(v *blockView, s, xloc, xnew, invd []float64, omega float64) {
+	ptr := v.locPtr[:len(s)+1]
+	xloc, xnew, invd = xloc[:len(s)], xnew[:len(s)], invd[:len(s)]
+	for r, acc := range s {
+		cols, vals := packedRow(ptr, v.locCols, v.locVal, r)
+		for p, c := range cols {
+			acc -= vals[p] * xloc[c]
+		}
+		xnew[r] = (1-omega)*xloc[r] + omega*acc*invd[r]
+	}
+}
+
+// packedRow returns row r's entries of a packed (ptr, cols, vals) triple,
+// resliced to one common length so the loops over them carry no bounds
+// checks on cols or vals.
+func packedRow(ptr, cols []int32, vals []float64, r int) ([]int32, []float64) {
+	lo, hi := ptr[r], ptr[r+1]
+	c := cols[lo:hi]
+	return c, vals[lo:hi][:len(c)]
+}
+
+// gather is the fused gather every staged kernel shares: one streaming
+// pass over the block's packed off-block entries computes the frozen
+// right-hand side s and loads the block's starting values into xloc and
+// x0. Per row it loads the off-block entries in packed order, then the
+// row's own component: the reference kernel's Load order, which the
+// simulated engine's racing reader turns into its coin order.
+//
+// The two iterate stores the engines hand the kernels take a loop with the
+// concrete Load inlined: the shared *AtomicVector of the goroutine and
+// free-running engines (and of their replays), and the simulated engine's
+// racing *mixReader. Each is taken only when the same store serves both
+// reads (the concrete pointers are compared after the type switch;
+// comparing the interfaces panics on slice-backed views), so the Loads
+// interleave exactly as in the interface loop. Every other view — the
+// stale snapshot, shard, device and delay-ring views, the trace's
+// countingReader — runs the IterateView loop.
+func gather(b []float64, v *blockView, offRead, locRead valueReader, s, xloc, x0 []float64) {
+	b = b[v.lo:v.hi]
+	s, xloc, x0 = s[:len(b)], xloc[:len(b)], x0[:len(b)]
+	ptr := v.offPtr[:len(b)+1]
+	switch off := offRead.(type) {
+	case *AtomicVector:
+		if loc, ok := locRead.(*AtomicVector); ok && loc == off {
+			for r, acc := range b {
+				cols, vals := packedRow(ptr, v.offCols, v.offVal, r)
+				for p, c := range cols {
+					acc -= vals[p] * off.Load(int(c))
+				}
+				s[r] = acc
+				xv := off.Load(v.lo + r)
+				xloc[r], x0[r] = xv, xv
+			}
+			return
+		}
+	case *mixReader:
+		if loc, ok := locRead.(*mixReader); ok && loc == off {
+			for r, acc := range b {
+				cols, vals := packedRow(ptr, v.offCols, v.offVal, r)
+				for p, c := range cols {
+					acc -= vals[p] * off.Load(int(c))
+				}
+				s[r] = acc
+				xv := off.Load(v.lo + r)
+				xloc[r], x0[r] = xv, xv
+			}
+			return
+		}
+	}
+	for r, acc := range b {
+		cols, vals := packedRow(ptr, v.offCols, v.offVal, r)
+		for p, c := range cols {
+			acc -= vals[p] * offRead.Load(int(c))
+		}
+		s[r] = acc
+		xv := locRead.Load(v.lo + r)
+		xloc[r], x0[r] = xv, xv
+	}
+}
+
+// publish writes the block's components xloc to rows lo, lo+1, ... of the
+// iterate and returns the squared update norm Σ (xloc[r] − x0[r])², the
+// input of the incremental residual estimate. The engines' own stores —
+// the shared *AtomicVector and the simulated engine's sliceWriter — take a
+// loop with the concrete Store inlined; every other writer (the f32
+// rounding writer, shard and device writers) runs the valueWriter loop.
+func publish(write valueWriter, lo int, xloc, x0 []float64) float64 {
+	x0 = x0[:len(xloc)]
 	var d2 float64
-	for r := 0; r < bs; r++ {
-		nv := xloc[r]
-		write.Store(v.lo+r, nv)
-		d := nv - x0[r]
-		d2 += d * d
+	switch w := write.(type) {
+	case *AtomicVector:
+		for r, nv := range xloc {
+			w.Store(lo+r, nv)
+			d := nv - x0[r]
+			d2 += d * d
+		}
+	case sliceWriter:
+		dst := w[lo : lo+len(xloc)]
+		for r, nv := range xloc {
+			dst[r] = nv
+			d := nv - x0[r]
+			d2 += d * d
+		}
+	default:
+		for r, nv := range xloc {
+			write.Store(lo+r, nv)
+			d := nv - x0[r]
+			d2 += d * d
+		}
 	}
 	return d2
 }

@@ -5,129 +5,82 @@ import (
 )
 
 // runBlockKernelSELL runs the k local sweeps over the block's SELL-C
-// layout (see sellBlock): gather and publish are exactly runBlockKernel's,
-// and each sweep walks the block's fixed-height row slices slot-major, so
-// the inner loop is a fixed-trip pass over sellC contiguous lanes — the
-// layout ELL/SELL kernels use to vectorize on GPUs and SIMD CPUs. Padding
-// lanes carry column −1 and are skipped by the branch, never multiplied,
-// so the per-row floating-point sequence is the CSR kernels' ascending-
-// column order and the iterates stay bit-identical.
+// layout (see sellBlock); gather, update rule and publish are runStaged's,
+// as for every staged kernel.
 func runBlockKernelSELL(a *sparse.CSR, sp *sparse.Splitting, b []float64, v *blockView,
 	k int, rule *updateRule, offRead, locRead valueReader, write valueWriter, scr *kernelScratch) float64 {
+	return runStaged(sellSweep, sp, b, v, k, rule, offRead, locRead, write, scr)
+}
 
-	omega := rule.omega
-	momentum := rule.beta != 0 && rule.prev != nil
+// sellSweep walks the block's fixed-height row slices slot-major, so the
+// inner loop is a fixed-trip pass over sellC contiguous lanes — the layout
+// ELL/SELL kernels use to vectorize on GPUs and SIMD CPUs. Padding lanes
+// carry column −1 and are skipped by the branch, never multiplied, so the
+// per-row floating-point sequence is the CSR kernels' ascending-column
+// order and the iterates stay bit-identical.
+func sellSweep(v *blockView, s, xloc, xnew, invd []float64, omega float64) {
 	sb := v.sell
-	bs := v.hi - v.lo
-	s := scr.s[:bs]
-	xloc := scr.xloc[:bs]
-	xnew := scr.xnew[:bs]
-	x0 := scr.x0[:bs]
-	invd := sp.InvDiag[v.lo:v.hi]
-	var xprev, prev []float64
-	if momentum {
-		xprev = scr.xprev[:bs]
-		prev = rule.prev[v.lo:v.hi]
-		copy(xprev, prev)
-	}
-
-	// Fused gather, identical to runBlockKernel.
-	for r := 0; r < bs; r++ {
-		acc := b[v.lo+r]
-		for e := v.offPtr[r]; e < v.offPtr[r+1]; e++ {
-			acc -= v.offVal[e] * offRead.Load(int(v.offCols[e]))
-		}
-		s[r] = acc
-		xv := locRead.Load(v.lo + r)
-		xloc[r] = xv
-		x0[r] = xv
-	}
-
+	bs := len(s)
 	ns := len(sb.sliceOff) - 1
-	for sweep := 0; sweep < k; sweep++ {
-		for sl := 0; sl < ns; sl++ {
-			base := int(sb.sliceOff[sl])
-			width := (int(sb.sliceOff[sl+1]) - base) / sellC
-			r0 := sl * sellC
-			lanes := bs - r0
-			if lanes > sellC {
-				lanes = sellC
-			}
-			var acc [sellC]float64
-			for l := 0; l < lanes; l++ {
-				acc[l] = s[r0+l]
-			}
-			if lanes == sellC {
-				// Full slice: constant lane indices keep the eight
-				// accumulators in registers (eight independent FP chains)
-				// and prove every slot access in bounds.
-				for slot := 0; slot < width; slot++ {
-					cols := (*[sellC]int32)(sb.cols[base+slot*sellC:])
-					vals := (*[sellC]float64)(sb.vals[base+slot*sellC:])
-					if c := cols[0]; c >= 0 {
-						acc[0] -= vals[0] * xloc[c]
-					}
-					if c := cols[1]; c >= 0 {
-						acc[1] -= vals[1] * xloc[c]
-					}
-					if c := cols[2]; c >= 0 {
-						acc[2] -= vals[2] * xloc[c]
-					}
-					if c := cols[3]; c >= 0 {
-						acc[3] -= vals[3] * xloc[c]
-					}
-					if c := cols[4]; c >= 0 {
-						acc[4] -= vals[4] * xloc[c]
-					}
-					if c := cols[5]; c >= 0 {
-						acc[5] -= vals[5] * xloc[c]
-					}
-					if c := cols[6]; c >= 0 {
-						acc[6] -= vals[6] * xloc[c]
-					}
-					if c := cols[7]; c >= 0 {
-						acc[7] -= vals[7] * xloc[c]
-					}
-				}
-			} else {
-				for slot := 0; slot < width; slot++ {
-					o := base + slot*sellC
-					cols := sb.cols[o : o+sellC]
-					vals := sb.vals[o : o+sellC]
-					for l := 0; l < lanes; l++ {
-						if c := cols[l]; c >= 0 {
-							acc[l] -= vals[l] * xloc[c]
-						}
-					}
-				}
-			}
-			for l := 0; l < lanes; l++ {
-				r := r0 + l
-				xnew[r] = (1-omega)*xloc[r] + omega*acc[l]*invd[r]
-			}
+	for sl := 0; sl < ns; sl++ {
+		base := int(sb.sliceOff[sl])
+		width := (int(sb.sliceOff[sl+1]) - base) / sellC
+		r0 := sl * sellC
+		lanes := bs - r0
+		if lanes > sellC {
+			lanes = sellC
 		}
-		if momentum {
-			// β post-pass and three-way rotation (see kernel_stencil.go for
-			// the floating-point-identity argument).
-			for r := 0; r < bs; r++ {
-				xnew[r] += rule.beta * (xloc[r] - xprev[r])
+		var acc [sellC]float64
+		for l := 0; l < lanes; l++ {
+			acc[l] = s[r0+l]
+		}
+		if lanes == sellC {
+			// Full slice: constant lane indices keep the eight
+			// accumulators in registers (eight independent FP chains)
+			// and prove every slot access in bounds.
+			for slot := 0; slot < width; slot++ {
+				cols := (*[sellC]int32)(sb.cols[base+slot*sellC:])
+				vals := (*[sellC]float64)(sb.vals[base+slot*sellC:])
+				if c := cols[0]; c >= 0 {
+					acc[0] -= vals[0] * xloc[c]
+				}
+				if c := cols[1]; c >= 0 {
+					acc[1] -= vals[1] * xloc[c]
+				}
+				if c := cols[2]; c >= 0 {
+					acc[2] -= vals[2] * xloc[c]
+				}
+				if c := cols[3]; c >= 0 {
+					acc[3] -= vals[3] * xloc[c]
+				}
+				if c := cols[4]; c >= 0 {
+					acc[4] -= vals[4] * xloc[c]
+				}
+				if c := cols[5]; c >= 0 {
+					acc[5] -= vals[5] * xloc[c]
+				}
+				if c := cols[6]; c >= 0 {
+					acc[6] -= vals[6] * xloc[c]
+				}
+				if c := cols[7]; c >= 0 {
+					acc[7] -= vals[7] * xloc[c]
+				}
 			}
-			xprev, xloc, xnew = xloc, xnew, xprev
 		} else {
-			xloc, xnew = xnew, xloc
+			for slot := 0; slot < width; slot++ {
+				o := base + slot*sellC
+				cols := sb.cols[o : o+sellC]
+				vals := sb.vals[o : o+sellC]
+				for l := 0; l < lanes; l++ {
+					if c := cols[l]; c >= 0 {
+						acc[l] -= vals[l] * xloc[c]
+					}
+				}
+			}
+		}
+		for l := 0; l < lanes; l++ {
+			r := r0 + l
+			xnew[r] = (1-omega)*xloc[r] + omega*acc[l]*invd[r]
 		}
 	}
-	if momentum {
-		storeMomentum(prev, xprev, rule.f32)
-	}
-
-	// Publish, identical to runBlockKernel.
-	var d2 float64
-	for r := 0; r < bs; r++ {
-		nv := xloc[r]
-		write.Store(v.lo+r, nv)
-		d := nv - x0[r]
-		d2 += d * d
-	}
-	return d2
 }

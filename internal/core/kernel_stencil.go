@@ -5,10 +5,10 @@ import (
 )
 
 // runBlockKernelStencil is the matrix-free fast path for constant-
-// coefficient stencil operators. The gather and publish passes are exactly
-// runBlockKernel's; the k local sweeps walk the block's precomputed fast
-// spans (buildStencilSpans) — maximal runs of interior rows whose whole
-// stencil lies inside the block:
+// coefficient stencil operators. Gather, update rule and publish are
+// runStaged's; the k local sweeps walk the block's precomputed fast spans
+// (buildStencilSpans) — maximal runs of interior rows whose whole stencil
+// lies inside the block:
 //
 //   - rows inside a span run the branch-free fast loop — offsets and
 //     coefficients live in locals, no column index is loaded and no per-row
@@ -26,79 +26,20 @@ import (
 // sequence) — property-tested in kernel_dispatch_test.go.
 func (p *Plan) runBlockKernelStencil(a *sparse.CSR, sp *sparse.Splitting, b []float64, v *blockView,
 	k int, rule *updateRule, offRead, locRead valueReader, write valueWriter, scr *kernelScratch) float64 {
+	return runStaged(p.stencil.sweep, sp, b, v, k, rule, offRead, locRead, write, scr)
+}
 
-	omega := rule.omega
-	sd := p.stencil
-	bs := v.hi - v.lo
-	s := scr.s[:bs]
-	xloc := scr.xloc[:bs]
-	xnew := scr.xnew[:bs]
-	x0 := scr.x0[:bs]
-	invd := sp.InvDiag[v.lo:v.hi]
-
-	// Fused gather, identical to runBlockKernel: interior rows have no
-	// off-block entries unless they straddle the block boundary, and the
-	// packed off arrays hold exactly those stencil points in ascending
-	// column order.
-	for r := 0; r < bs; r++ {
-		acc := b[v.lo+r]
-		for e := v.offPtr[r]; e < v.offPtr[r+1]; e++ {
-			acc -= v.offVal[e] * offRead.Load(int(v.offCols[e]))
-		}
-		s[r] = acc
-		xv := locRead.Load(v.lo + r)
-		xloc[r] = xv
-		x0[r] = xv
+// sweep is the stencil kernel's sweepFunc: the 4- and 8-offset widths have
+// specializations with the offsets and coefficients in locals.
+func (sd *stencilData) sweep(v *blockView, s, xloc, xnew, invd []float64, omega float64) {
+	switch len(sd.offs) {
+	case 4:
+		stencilSweep4(sd, v, s, xloc, xnew, invd, omega, len(s))
+	case 8:
+		stencilSweep8(sd, v, s, xloc, xnew, invd, omega, len(s))
+	default:
+		stencilSweepN(sd, v, s, xloc, xnew, invd, omega, len(s))
 	}
-
-	if rule.beta != 0 && rule.prev != nil {
-		// Momentum: the first-order sweep helper fills xnew, the β-term is
-		// applied as a post-pass — floating-point-identical to the CSR
-		// kernels' inline form, fl(fl(first-order) + fl(β·Δ)) — and the
-		// three buffers rotate so x_k becomes the next sweep's x_{k−1}.
-		beta := rule.beta
-		xprev := scr.xprev[:bs]
-		prev := rule.prev[v.lo:v.hi]
-		copy(xprev, prev)
-		for sweep := 0; sweep < k; sweep++ {
-			switch len(sd.offs) {
-			case 4:
-				stencilSweep4(sd, v, s, xloc, xnew, invd, omega, bs)
-			case 8:
-				stencilSweep8(sd, v, s, xloc, xnew, invd, omega, bs)
-			default:
-				stencilSweepN(sd, v, s, xloc, xnew, invd, omega, bs)
-			}
-			for r := 0; r < bs; r++ {
-				xnew[r] += beta * (xloc[r] - xprev[r])
-			}
-			xprev, xloc, xnew = xloc, xnew, xprev
-		}
-		storeMomentum(prev, xprev, rule.f32)
-	} else {
-		// k local sweeps over the fast spans.
-		for sweep := 0; sweep < k; sweep++ {
-			switch len(sd.offs) {
-			case 4:
-				stencilSweep4(sd, v, s, xloc, xnew, invd, omega, bs)
-			case 8:
-				stencilSweep8(sd, v, s, xloc, xnew, invd, omega, bs)
-			default:
-				stencilSweepN(sd, v, s, xloc, xnew, invd, omega, bs)
-			}
-			xloc, xnew = xnew, xloc
-		}
-	}
-
-	// Publish, identical to runBlockKernel.
-	var d2 float64
-	for r := 0; r < bs; r++ {
-		nv := xloc[r]
-		write.Store(v.lo+r, nv)
-		d := nv - x0[r]
-		d2 += d * d
-	}
-	return d2
 }
 
 // stencilRowsSlow sweeps the rows of [lo, hi) that sit outside the fast
@@ -110,6 +51,7 @@ func stencilRowsSlow(sd *stencilData, v *blockView,
 
 	interior := sd.interior[v.lo:v.hi]
 	offs, coeffs := sd.offs, sd.coeffs
+	ptr := v.locPtr[:hi+1]
 	for r := lo; r < hi; r++ {
 		acc := s[r]
 		if interior[r] {
@@ -119,8 +61,9 @@ func stencilRowsSlow(sd *stencilData, v *blockView,
 				}
 			}
 		} else {
-			for e := v.locPtr[r]; e < v.locPtr[r+1]; e++ {
-				acc -= v.locVal[e] * xloc[v.locCols[e]]
+			cols, vals := packedRow(ptr, v.locCols, v.locVal, r)
+			for p, c := range cols {
+				acc -= vals[p] * xloc[c]
 			}
 		}
 		xnew[r] = (1-omega)*xloc[r] + omega*acc*invd[r]

@@ -99,20 +99,21 @@ func (m *CSR) MulVec(y, x []float64) {
 		panic(fmt.Sprintf("sparse: MulVec dims: A is %dx%d, len(x)=%d, len(y)=%d",
 			m.Rows, m.Cols, len(x), len(y)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		var s float64
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			s += m.Val[p] * x[m.ColIdx[p]]
-		}
-		y[i] = s
+	for i := range y {
+		y[i] = m.RowDot(i, x)
 	}
 }
 
-// RowDot returns the dot product of row i with x, i.e. (A*x)[i].
+// RowDot returns the dot product of row i with x, i.e. (A*x)[i], summed in
+// CSR order. The row's column and value slices are resliced to one length,
+// so only the x[col] load carries a bounds check.
 func (m *CSR) RowDot(i int, x []float64) float64 {
+	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+	cols := m.ColIdx[lo:hi]
+	vals := m.Val[lo:hi][:len(cols)]
 	var s float64
-	for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-		s += m.Val[p] * x[m.ColIdx[p]]
+	for p, c := range cols {
+		s += vals[p] * x[c]
 	}
 	return s
 }
