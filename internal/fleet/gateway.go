@@ -294,15 +294,19 @@ func (g *Gateway) acquire(w http.ResponseWriter) bool {
 	return true
 }
 
+// maxRequestBytes bounds a request body the gateway reads, at the node's
+// own bound.
+const maxRequestBytes = 256 << 20
+
 // route reads a submission body (solve, session create or batch), decodes
 // it into req and resolves the routing key from spec, req's embedded
 // SolverSpec, to the key's ring owners in failover order. On failure it
 // writes the error response and reports false.
 func (g *Gateway) route(w http.ResponseWriter, r *http.Request, req any, spec *service.SolverSpec) (body []byte, key string, owners []string, ok bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
 		g.badRequests.Inc()
-		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("fleet: reading request: %w", err))
+		writeErr(w, service.ReadErrorStatus(err), fmt.Errorf("fleet: reading request: %w", err))
 		return nil, "", nil, false
 	}
 	if err := json.Unmarshal(body, req); err != nil {

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/certify"
@@ -504,6 +505,53 @@ func TestGatewayBadRequests(t *testing.T) {
 	r3.Body.Close()
 	if r3.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown node in job ID: status %d, want 404", r3.StatusCode)
+	}
+}
+
+// TestTruncatedBodyIs400: a request body that fails before its end (a
+// truncated or aborted upload) is a bad request, not an oversized one, on
+// every route of the node and the gateway that reads a body. Only the
+// bound's own error, *http.MaxBytesError, maps to 413; a body over the
+// 256 MiB bound is too large to send here, so that mapping is checked
+// directly.
+func TestTruncatedBodyIs400(t *testing.T) {
+	node := newFleetNode(t, "n0", service.Config{Workers: 1, QueueDepth: 1})
+	g := NewGateway(GatewayConfig{})
+	if err := g.Membership().Register(node.name, node.ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		handler http.Handler
+		step    string
+	}{
+		{"node", service.NewHandler(node.svc), "/v1/sessions/sess-000001/step"},
+		{"gateway", g.Handler(), "/v1/sessions/n0~sess-000001/step"},
+	} {
+		for _, path := range []string{"/v1/solve", "/v1/sessions", "/v1/batch", tc.step} {
+			body := io.MultiReader(strings.NewReader(`{"matrix":"fv1","block_size":`), iotest.ErrReader(io.ErrUnexpectedEOF))
+			rec := httptest.NewRecorder()
+			tc.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s POST %s with a truncated body: status %d, want 400 (%s)",
+					tc.name, path, rec.Code, strings.TrimSpace(rec.Body.String()))
+			}
+		}
+	}
+
+	_, tooLarge := io.ReadAll(http.MaxBytesReader(nil, io.NopCloser(strings.NewReader("12345")), 4))
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{tooLarge, http.StatusRequestEntityTooLarge},
+		{fmt.Errorf("fleet: reading request: %w", tooLarge), http.StatusRequestEntityTooLarge},
+		{io.ErrUnexpectedEOF, http.StatusBadRequest},
+		{errors.New("connection reset by peer"), http.StatusBadRequest},
+	} {
+		if got := service.ReadErrorStatus(tc.err); got != tc.want {
+			t.Errorf("ReadErrorStatus(%v) = %d, want %d", tc.err, got, tc.want)
+		}
 	}
 }
 

@@ -227,9 +227,9 @@ func (g *Gateway) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 		g.writeSessionLost(w, id, name, known.fingerprint, fmt.Errorf("node %q is no longer registered", name))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("fleet: reading request: %w", err))
+		writeErr(w, service.ReadErrorStatus(err), fmt.Errorf("fleet: reading request: %w", err))
 		return
 	}
 	g.sessionSteps.Inc()

@@ -3,8 +3,6 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -25,19 +23,14 @@ import (
 //	                     Prometheus text exposition format
 //
 // Errors are JSON objects {"error": "..."} with conventional status codes
-// (400 invalid request, 404 unknown job, 422 certified divergent — the
-// body then also carries the certificate — 429 queue full, 503 shutdown).
+// (400 invalid request, including a body cut short, 404 unknown job, 413
+// body over 256 MiB, 422 certified divergent — the body then also carries
+// the certificate — 429 queue full, 503 shutdown).
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-		if err != nil {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("service: reading request: %w", err))
-			return
-		}
 		var req SolveRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding request: %w", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		// X-Chaos is the debug side channel for schedule perturbation;
@@ -125,8 +118,8 @@ func NewHandler(s *Service) http.Handler {
 	return mux
 }
 
-// maxRequestBytes bounds a POST /v1/solve body (inline Matrix Market
-// payloads are the large case: ~30 bytes per nonzero).
+// maxRequestBytes bounds a request body (inline Matrix Market payloads are
+// the large case: ~30 bytes per nonzero).
 const maxRequestBytes = 256 << 20
 
 type submitResponse struct {

@@ -109,7 +109,7 @@ func registerBatchRoutes(mux *http.ServeMux, s *Service) {
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("service: reading request: %w", err))
+		writeError(w, ReadErrorStatus(err), fmt.Errorf("service: reading request: %w", err))
 		return false
 	}
 	if err := json.Unmarshal(body, v); err != nil {
@@ -117,6 +117,18 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// ReadErrorStatus is the HTTP status for a request body that could not be
+// read through http.MaxBytesReader: 413 when the body exceeds the bound,
+// 400 for any other failure, such as a body cut short or aborted by the
+// client.
+func ReadErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // writeSubmitError maps a Submit/SubmitBatch/CreateSession error onto the

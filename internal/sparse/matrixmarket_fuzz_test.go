@@ -132,6 +132,41 @@ func FuzzReadMatrixMarketMatchesReference(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 -5\n")
 	f.Add("%%MatrixMarket matrix coordinate real symmetric\n1 2 1\n1 2 1.0\n")
 	f.Add("")
+	// The edges of the reader's inline conversion (parseEntry): values one
+	// per position of a 5×5 matrix, and whole entry lines of a 3×3 one.
+	values := func(vals ...string) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%%%%MatrixMarket matrix coordinate real general\n5 5 %d\n", len(vals))
+		for k, v := range vals {
+			fmt.Fprintf(&b, "%d %d %s\n", k/5+1, k%5+1, v)
+		}
+		return b.String()
+	}
+	lines := func(entries ...string) string {
+		return fmt.Sprintf("%%%%MatrixMarket matrix coordinate real general\n3 3 %d\n%s\n", len(entries), strings.Join(entries, "\n"))
+	}
+	// Signed zeros (dropped by assembly, but they must parse alike).
+	f.Add(values("-0", "-0.0", "0e5", "-0e-3", "1"))
+	// 15 to 20 significant digits, and significands about 2^53.
+	f.Add(values("0.123456789012345", "-0.1234567890123456", "0.20932057595923914", "-0.88101817609002486",
+		"1234567890123456789e-19", "12345678901234567890e-20", "9007199254740991", "9007199254740992",
+		"9007199254740993", "0.9007199254740993", "-9007199254740995e-16", "9007199254740993e-16"))
+	// Exponents ±22 and ±23.
+	f.Add(values("1e22", "-9e-22", "4.5E+21", "1e0022", "0.1e23", "3e23", "1e-23", "-1e+23", "10e-23",
+		"1e00022", "123456789e-22"))
+	// Leading zeros, and shapes only strconv accepts.
+	f.Add(values("000.5", "0.0001", ".5", "5.", "+1.5", "-.5", "0x1p-2", "Inf", "nan", "-inf"))
+	f.Add(values("1", "1_0"))
+	f.Add(values("1", "1.5e"))
+	// 18- and 19-digit indices, accepted, out of range and overflowing.
+	f.Add(lines("000000000000000001 000000000000000002 1.5", "0000000000000000003 0000000000000000001 2.5"))
+	f.Add(lines("123456789012345678 1 1"))
+	f.Add(lines("1 1234567890123456789 1"))
+	f.Add(lines("99999999999999999999 1 1"))
+	f.Add(lines("1_0 1 1"))
+	// Tabs, \v, \f and \r around fields, and fourth fields.
+	f.Add(lines("1\t1\v2.5\r4th", "\v2\f2\t-1e-3 extra", "3\r3 \t 7\f\v8 9"))
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 2\n000000000000000001\t2 junk\n2\r1\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
 		got, err := ReadMatrixMarket(strings.NewReader(input))
