@@ -15,15 +15,13 @@ import (
 // fixed-sweep solve (Tolerance 0, fixed global iterations, seeded simulated
 // engine — pure kernel wall time, no convergence variance) run through the
 // packed-CSR baseline and one dispatch kernel, reported as the wall-time
-// ratio. Floor is the enforced minimum speedup (0 = recorded, not gated),
-// set from ten readings of each row, well under the lowest, and high
-// enough that a kernel made 1.5× slower fails it (docs/KERNELS.md): the
-// stencil kernel holds ×1.5 on s1rmt3m1, ×1.25 on the quick Poisson grid
-// and ×1.1 on the larger one; the fv1 row gates at ×0.9 — its 63%
-// interior fraction Amdahl-caps the win (the other 37% of rows run a
-// per-row loop over the same packed CSR the baseline runs). SELL reads
-// ×0.9 of the bounds-check-free packed CSR on the host, so its floor
-// ×0.7 catches a slowed SELL kernel, not a lost lead.
+// ratio. Floor is the enforced minimum speedup, set from ten readings of
+// each row, well under the lowest, and high enough that a kernel made
+// 1.5× slower fails it (docs/KERNELS.md): the stencil kernel holds ×1.5
+// on s1rmt3m1, ×1.25 on the quick Poisson grid and ×1.1 on the larger
+// one; the fv1 row gates at ×0.9 — its 63% interior fraction Amdahl-caps
+// the win (the other 37% of rows run a per-row loop over the same packed
+// CSR the baseline runs).
 type KernelScenario struct {
 	Name       string `json:"name"`
 	Matrix     string `json:"matrix"`
@@ -38,10 +36,8 @@ type KernelScenario struct {
 	KernelSeconds float64 `json:"kernel_seconds"`
 	Speedup       float64 `json:"speedup"`
 	Floor         float64 `json:"floor,omitempty"`
-	// InteriorFraction (stencil rows) and SlotRatio (sell rows) describe
-	// the structure the speedup depends on.
+	// InteriorFraction describes the structure the speedup depends on.
 	InteriorFraction float64 `json:"interior_fraction,omitempty"`
-	SlotRatio        float64 `json:"slot_ratio,omitempty"`
 }
 
 // kernelCase declares one speedup row of the kernel suite.
@@ -64,15 +60,12 @@ func kernelCases(quick bool) []kernelCase {
 	if quick {
 		return []kernelCase{
 			{"kernel/stencil-poisson", "poisson_64x64", poisson(64, 64), core.KernelStencil, 1024, 1.25},
-			{"kernel/sell-s1rmt3m1", "s1rmt3m1", named("s1rmt3m1"), core.KernelSELL, 256, 0.7},
 		}
 	}
 	return []kernelCase{
 		{"kernel/stencil-poisson", "poisson_120x120", poisson(120, 120), core.KernelStencil, 1024, 1.1},
 		{"kernel/stencil-s1rmt3m1", "s1rmt3m1", named("s1rmt3m1"), core.KernelStencil, 256, 1.5},
 		{"kernel/stencil-fv1", "fv1", named("fv1"), core.KernelStencil, 512, 0.9},
-		{"kernel/sell-s1rmt3m1", "s1rmt3m1", named("s1rmt3m1"), core.KernelSELL, 256, 0.7},
-		{"kernel/sell-trefethen", "Trefethen_2000", func() *sparse.CSR { return mats.Trefethen(2000) }, core.KernelSELL, 128, 0},
 	}
 }
 
@@ -91,7 +84,7 @@ func runKernelSuite(quick bool, out io.Writer) ([]KernelScenario, int) {
 	problems := 0
 	for _, kc := range kernelCases(quick) {
 		row, err := measureKernelCase(kc, localIters, sweeps, reps)
-		if err == nil && row.Floor > 0 && row.Speedup < row.Floor {
+		if err == nil && row.Speedup < row.Floor {
 			row, err = measureKernelCase(kc, localIters, sweeps, reps)
 		}
 		if err != nil {
@@ -99,14 +92,10 @@ func runKernelSuite(quick bool, out io.Writer) ([]KernelScenario, int) {
 			problems++
 			continue
 		}
-		gateNote := "recorded"
-		if row.Floor > 0 {
-			gateNote = fmt.Sprintf("floor ×%.2f", row.Floor)
-		}
-		fmt.Fprintf(out, "benchgate: %s  %s  csr %.1fms  %s %.1fms  speedup ×%.2f (%s)\n",
+		fmt.Fprintf(out, "benchgate: %s  %s  csr %.1fms  %s %.1fms  speedup ×%.2f (floor ×%.2f)\n",
 			row.Name, row.Matrix, 1e3*row.CSRSeconds, row.Kernel, 1e3*row.KernelSeconds,
-			row.Speedup, gateNote)
-		if row.Floor > 0 && row.Speedup < row.Floor {
+			row.Speedup, row.Floor)
+		if row.Speedup < row.Floor {
 			fmt.Fprintf(out, "benchgate: REGRESSION %s: %s only ×%.2f over packed CSR (floor ×%.2f)\n",
 				row.Name, row.Kernel, row.Speedup, row.Floor)
 			problems++
@@ -141,9 +130,6 @@ func measureKernelCase(kc kernelCase, localIters, sweeps, reps int) (KernelScena
 	}
 	if si := kernPlan.StencilInfo(); si != nil {
 		row.InteriorFraction = si.InteriorFraction()
-	}
-	if sr := kernPlan.SELLSlotRatio(); sr > 0 {
-		row.SlotRatio = sr
 	}
 	for r := 0; r < reps; r++ {
 		for _, m := range []struct {

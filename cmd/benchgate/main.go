@@ -17,7 +17,7 @@
 // session must out-iterate k cold solves of the same slowly-varying
 // sequence) and the batch-vs-sequential wall-time speedup, enforced on
 // ≥4-core machines (see session.go) — and the sweep-kernel rows: the
-// matrix-free stencil and sliced-ELL kernels against the packed-CSR
+// matrix-free stencil kernel against the packed-CSR
 // baseline on fixed-sweep solves, with enforced speedup floors that a
 // kernel made 1.5× slower fails (see kernel.go and docs/KERNELS.md) — and
 // the update-rule rows: second-order Richardson (momentum) against damped

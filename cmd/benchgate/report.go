@@ -39,8 +39,8 @@ type Report struct {
 	// batch-vs-sequential wall-time speedup (additive field; older
 	// baselines simply lack it and gate nothing there).
 	Sessions []SessionScenario `json:"sessions,omitempty"`
-	// Kernels holds the sweep-kernel speedup rows: stencil and SELL wall
-	// time against the packed-CSR baseline on fixed-sweep solves, with
+	// Kernels holds the sweep-kernel speedup rows: stencil wall time
+	// against the packed-CSR baseline on fixed-sweep solves, with
 	// enforced speedup floors (additive field; older baselines simply lack
 	// it and gate nothing there).
 	Kernels []KernelScenario `json:"kernels,omitempty"`

@@ -78,7 +78,7 @@ func main() {
 	flag.BoolVar(&cfg.tuned, "tune", false, "auto-tune block size, local sweeps and ω before solving (async only)")
 	flag.IntVar(&cfg.devices, "devices", 0, "run on the live multi-GPU executor with this many devices (async only)")
 	flag.StringVar(&cfg.strategy, "strategy", "amc", "inter-GPU communication strategy: amc | dc | dk (requires -devices)")
-	flag.StringVar(&cfg.kernel, "kernel", "auto", "sweep-kernel dispatch: auto | csr | stencil | sell (async and freerun)")
+	flag.StringVar(&cfg.kernel, "kernel", "auto", "sweep-kernel dispatch: auto | csr | stencil (async and freerun)")
 	flag.StringVar(&cfg.precision, "precision", "f64", "iterate storage precision: f64 | f32 (async and freerun)")
 	flag.Parse()
 
@@ -357,14 +357,10 @@ func buildPlan(a *sparse.CSR, block int, kernel string) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch p.Kernel() {
-	case core.KernelStencil:
-		si := p.StencilInfo()
+	if si := p.StencilInfo(); si != nil {
 		fmt.Printf("kernel: stencil (%d-point, offsets %v, %d interior / %d boundary rows)\n",
 			len(si.Spec.Offsets), si.Spec.Offsets, si.InteriorRows, si.BoundaryRows)
-	case core.KernelSELL:
-		fmt.Printf("kernel: sell (slot ratio %.3f)\n", p.SELLSlotRatio())
-	default:
+	} else {
 		fmt.Println("kernel: csr")
 	}
 	return p, nil

@@ -14,9 +14,7 @@
 // Every report also states the detected sweep-kernel structure: for
 // constant-coefficient stencil matrices the offset set, coefficient count
 // and interior/boundary row split that the matrix-free fast path uses (see
-// docs/KERNELS.md), or "none" when the general sliced-ELL/CSR path
-// applies — plus the SELL-8 slot-padding ratio (padded slots per stored
-// entry) the sliced-ELL layout would pay on that matrix.
+// docs/KERNELS.md), or "none" when the packed-CSR kernel applies.
 package main
 
 import (
@@ -25,7 +23,6 @@ import (
 	"os"
 
 	"repro/internal/certify"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/mats"
 	"repro/internal/sparse"
@@ -117,30 +114,13 @@ func stencilOne(name, indent string) error {
 	}
 	si, ok := sparse.DetectStencil(tm.A)
 	if !ok {
-		fmt.Printf("%sstencil: none (general sliced-ELL/CSR path); sell-8 slot ratio %s\n",
-			indent, sellRatio(tm.A))
+		fmt.Printf("%sstencil: none (packed CSR path)\n", indent)
 		return nil
 	}
-	fmt.Printf("%sstencil: %d-point, offsets %v, %d coeffs, %d interior / %d boundary rows (%.1f%% interior); sell-8 slot ratio %s\n",
+	fmt.Printf("%sstencil: %d-point, offsets %v, %d coeffs, %d interior / %d boundary rows (%.1f%% interior)\n",
 		indent, len(si.Spec.Offsets), si.Spec.Offsets, len(si.Spec.Coeffs),
-		si.InteriorRows, si.BoundaryRows, 100*si.InteriorFraction(), sellRatio(tm.A))
+		si.InteriorRows, si.BoundaryRows, 100*si.InteriorFraction())
 	return nil
-}
-
-// sellRatio reports the SELL-8 slot-padding overhead of a matrix: padded
-// slots divided by stored entries when the blocks are laid out in the
-// sliced-ELL format the SELL kernel sweeps (1.000 = no padding; large
-// ratios mean irregular row lengths make the layout wasteful there).
-func sellRatio(a *sparse.CSR) string {
-	block := 448
-	if block > a.Rows {
-		block = a.Rows
-	}
-	p, err := core.NewPlanWithConfig(a, block, false, core.PlanConfig{Kernel: core.KernelSELL})
-	if err != nil {
-		return fmt.Sprintf("unavailable (%v)", err)
-	}
-	return fmt.Sprintf("%.3f", p.SELLSlotRatio())
 }
 
 // certifyOne prints one system's admission certificate.

@@ -9,9 +9,9 @@
 // the f32 rounding floor instead of the f64 tolerance.
 //
 // Against a running solverd, it submits one auto-dispatched f32 solve of
-// the fv1 stencil family and one explicit sliced-ELL solve, prints the
-// resolved kernel and precision echoed in each job result, and scrapes the
-// service_kernel_solves_total counters from /metricsz.
+// the fv1 stencil family, prints the resolved kernel and precision echoed
+// in the job result, and scrapes the service_kernel_solves_total counters
+// from /metricsz.
 //
 // Start the daemon first:
 //
@@ -117,8 +117,8 @@ type jobView struct {
 	} `json:"result"`
 }
 
-// againstDaemon submits one auto-dispatched f32 solve and one explicit
-// sliced-ELL solve, then scrapes the per-kernel solve counters.
+// againstDaemon submits one auto-dispatched f32 solve, then scrapes the
+// per-kernel solve counters.
 func againstDaemon(addr string) {
 	reqs := []map[string]any{
 		// fv1 is a constant-coefficient stencil family: "auto" resolves to
@@ -126,10 +126,6 @@ func againstDaemon(addr string) {
 		// rounding floor.
 		{"matrix": "fv1", "kernel": "auto", "precision": "f32",
 			"block_size": 448, "local_iters": 5, "max_global_iters": 500, "tolerance": 1e-4},
-		// Trefethen_2000 has no stencil structure; ask for the sliced-ELL
-		// layout explicitly.
-		{"matrix": "Trefethen_2000", "kernel": "sell",
-			"block_size": 128, "local_iters": 5, "max_global_iters": 500, "tolerance": 1e-8},
 	}
 	for _, req := range reqs {
 		body, err := json.Marshal(req)

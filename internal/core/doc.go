@@ -60,20 +60,20 @@
 // shared-memory blocking — and Plan carries reusable per-solve scratch so
 // a warm solve allocates nothing in steady state (enforced by
 // alloc_test.go). The kernel itself is dispatched per matrix structure
-// (kernel_dispatch.go, docs/KERNELS.md): packed per-block CSR views by
-// default, a matrix-free constant-coefficient stencil kernel for matrices
-// that declare or detect stencil structure (interior rows load no column
-// indices; boundary rows fall back to packed CSR), or a sliced-ELL
-// (SELL-8) layout for general matrices. Every kernel preserves the
-// reference floating-point operation order and IterateView.Load order, so
-// float64 iterates are bit-identical across kernels and the dispatch is
-// purely a performance decision. The update rule is a third, orthogonal
-// axis (update_rule.go, docs/METHODS.md): Options.Method selects the
-// paper's first-order Jacobi sweep or the second-order momentum
-// Richardson recurrence x⁺ = x + ωD⁻¹r + β(x − x⁻) (Options.Beta),
-// threaded through every engine and kernel; a β = 0 rule of either kind
-// takes the literal first-order code path, so richardson2 with β = 0 is
-// bit-identical to jacobi by construction. Options.Precision selects float32
-// iterate storage with float64 accumulation and float64 residual checks
-// (precision.go). DESIGN.md §2 records the layout rationale.
+// (kernel_dispatch.go, docs/KERNELS.md) by one rule: a matrix-free
+// constant-coefficient stencil kernel for matrices that declare or detect
+// stencil structure (interior rows load no column indices; boundary rows
+// fall back to packed CSR), packed per-block CSR views otherwise. Both
+// kernels preserve the reference floating-point operation order and
+// IterateView.Load order, so float64 iterates are bit-identical across
+// kernels and the dispatch is purely a performance decision. The update
+// rule is a third, orthogonal axis (update_rule.go, docs/METHODS.md):
+// Options.Method selects the paper's first-order Jacobi sweep or the
+// second-order momentum Richardson recurrence x⁺ = x + ωD⁻¹r + β(x − x⁻)
+// (Options.Beta), threaded through every engine and kernel; a β = 0 rule
+// of either kind takes the literal first-order code path, so richardson2
+// with β = 0 is bit-identical to jacobi by construction.
+// Options.Precision selects float32 iterate storage with float64
+// accumulation and float64 residual checks (precision.go). DESIGN.md §2
+// records the layout rationale.
 package core

@@ -40,10 +40,6 @@ type blockView struct {
 	locCols []int32 // block-local column indices
 	locVal  []float64
 
-	// sell holds the same local entries in sliced-ELLPACK layout; non-nil
-	// only on plans built with KernelSELL (see kernel_dispatch.go).
-	sell *sellBlock
-
 	// stSpans lists the maximal runs of rows the stencil kernel's
 	// branch-free fast loop covers (interior rows whose whole stencil span
 	// lies inside the block); non-empty only on stencil plans. Precomputing
@@ -58,9 +54,6 @@ func (v *blockView) memoryBytes() int64 {
 	sz := 2*w*int64(len(v.inLo)) + 6*w // inLo+inHi plus the fixed fields
 	sz += w32 * int64(len(v.offPtr)+len(v.offCols)+len(v.locPtr)+len(v.locCols))
 	sz += w * int64(len(v.offVal)+len(v.locVal))
-	if v.sell != nil {
-		sz += v.sell.memoryBytes()
-	}
 	sz += w * int64(len(v.stSpans))
 	return sz
 }
@@ -200,8 +193,8 @@ func runBlockKernel(a *sparse.CSR, sp *sparse.Splitting, b []float64, v *blockVi
 // sweepFunc runs one first-order local sweep of a staged kernel over the
 // block: for every row r, xnew[r] = (1−ω)·xloc[r] + ω·acc·invd[r] with
 // acc = s[r] minus the row's non-diagonal in-block entries times xloc,
-// subtracted in ascending column order. Every staged kernel (packed CSR,
-// SELL, stencil) keeps exactly this floating-point sequence, which is what
+// subtracted in ascending column order. Both staged kernels (packed CSR
+// and stencil) keep exactly this floating-point sequence, which is what
 // makes their iterates bit-identical.
 type sweepFunc func(v *blockView, s, xloc, xnew, invd []float64, omega float64)
 

@@ -26,10 +26,6 @@ const (
 	// kernel: interior rows keep the whole stencil in locals and load no
 	// column indices; boundary rows fall back to packed CSR.
 	KernelStencil
-	// KernelSELL stores each block's local sub-matrix in sliced-ELLPACK
-	// (SELL-C) layout so the inner sweep loop runs lane-parallel over
-	// fixed-height row slices — the general-matrix vectorization layout.
-	KernelSELL
 )
 
 // String returns the kernel name used in flags, requests and metrics.
@@ -41,8 +37,6 @@ func (k KernelKind) String() string {
 		return "csr"
 	case KernelStencil:
 		return "stencil"
-	case KernelSELL:
-		return "sell"
 	}
 	return fmt.Sprintf("KernelKind(%d)", int(k))
 }
@@ -56,10 +50,8 @@ func ParseKernel(s string) (KernelKind, error) {
 		return KernelCSR, nil
 	case "stencil":
 		return KernelStencil, nil
-	case "sell":
-		return KernelSELL, nil
 	}
-	return KernelAuto, fmt.Errorf(`core: unknown kernel %q (want "auto", "csr", "stencil" or "sell")`, s)
+	return KernelAuto, fmt.Errorf(`core: unknown kernel %q (want "auto", "csr" or "stencil")`, s)
 }
 
 // PlanConfig selects the kernel variant a plan is built for. The zero
@@ -69,8 +61,8 @@ func ParseKernel(s string) (KernelKind, error) {
 type PlanConfig struct {
 	// Kernel selects the sweep kernel. KernelStencil fails plan
 	// construction when the matrix has no (detected or declared) stencil
-	// structure; KernelSELL and KernelStencil fail when the packed staging
-	// is unavailable (column indices beyond int32).
+	// structure or when the packed staging is unavailable (column indices
+	// beyond int32).
 	Kernel KernelKind
 	// Stencil optionally declares the stencil instead of detecting it —
 	// for operators the caller generated and knows exactly. A declared
@@ -152,66 +144,6 @@ func buildStencilSpans(p *Plan) {
 	}
 }
 
-// sellC is the SELL slice height: rows are processed in fixed chunks of
-// sellC lanes, each slice padded to its longest row. 8 lanes keep the
-// padded waste low on the block-local sub-matrices while giving the
-// compiler a fixed-trip inner loop over contiguous memory.
-const sellC = 8
-
-// sellBlock is one block's local sub-matrix (diagonal excluded, columns
-// block-local — the same entries as blockView.locCols/locVal) in sliced
-// ELLPACK layout: slice s covers rows [s·C, (s+1)·C), its entries live in
-// cols/vals[sliceOff[s]:sliceOff[s+1]] slot-major (slot · C + lane), padded
-// with column −1. The −1 sentinel is skipped by a branch rather than
-// multiplied by zero, so padding can never perturb the floating-point
-// result (−0.0, NaN and Inf in the iterate stay CSR-identical).
-type sellBlock struct {
-	sliceOff []int32
-	cols     []int32
-	vals     []float64
-}
-
-func (sb *sellBlock) memoryBytes() int64 {
-	const w, w32 = 8, 4
-	return w32*int64(len(sb.sliceOff)+len(sb.cols)) + w*int64(len(sb.vals))
-}
-
-// buildSell lays v's packed local entries out in SELL-C slices.
-func buildSell(v *blockView) *sellBlock {
-	bs := v.hi - v.lo
-	ns := (bs + sellC - 1) / sellC
-	sb := &sellBlock{sliceOff: make([]int32, ns+1)}
-	total := 0
-	for s := 0; s < ns; s++ {
-		w := 0
-		for r := s * sellC; r < bs && r < (s+1)*sellC; r++ {
-			if l := int(v.locPtr[r+1] - v.locPtr[r]); l > w {
-				w = l
-			}
-		}
-		total += w * sellC
-		sb.sliceOff[s+1] = int32(total)
-	}
-	sb.cols = make([]int32, total)
-	sb.vals = make([]float64, total)
-	for i := range sb.cols {
-		sb.cols[i] = -1
-	}
-	for s := 0; s < ns; s++ {
-		base := int(sb.sliceOff[s])
-		for r := s * sellC; r < bs && r < (s+1)*sellC; r++ {
-			lane := r - s*sellC
-			slot := 0
-			for e := v.locPtr[r]; e < v.locPtr[r+1]; e++ {
-				sb.cols[base+slot*sellC+lane] = v.locCols[e]
-				sb.vals[base+slot*sellC+lane] = v.locVal[e]
-				slot++
-			}
-		}
-	}
-	return sb
-}
-
 // resolveKernel decides the plan's kernel and builds its data. Called from
 // plan construction after the views are staged.
 func (p *Plan) resolveKernel(cfg PlanConfig) error {
@@ -257,15 +189,6 @@ func (p *Plan) resolveKernel(cfg PlanConfig) error {
 		p.kernel = KernelStencil
 		buildStencilSpans(p)
 		return nil
-	case KernelSELL:
-		if !p.staged {
-			return fmt.Errorf("core: sell kernel needs packed staging (column indices exceed int32)")
-		}
-		for bi := range p.views {
-			p.views[bi].sell = buildSell(&p.views[bi])
-		}
-		p.kernel = KernelSELL
-		return nil
 	}
 	return fmt.Errorf("core: unknown kernel kind %v", cfg.Kernel)
 }
@@ -280,26 +203,4 @@ func (p *Plan) StencilInfo() *sparse.StencilInfo {
 		return nil
 	}
 	return p.stencil.info
-}
-
-// SELLSlotRatio returns padded slots / stored entries of the SELL layout
-// (≥ 1; the padding overhead the tuner prices), or 0 when the plan does not
-// run the SELL kernel.
-func (p *Plan) SELLSlotRatio() float64 {
-	if p.kernel != KernelSELL {
-		return 0
-	}
-	var slots, nnz int64
-	for bi := range p.views {
-		v := &p.views[bi]
-		if v.sell == nil {
-			continue
-		}
-		slots += int64(len(v.sell.vals))
-		nnz += int64(v.locPtr[v.hi-v.lo])
-	}
-	if nnz == 0 {
-		return 1
-	}
-	return float64(slots) / float64(nnz)
 }

@@ -11,9 +11,9 @@ import (
 	"repro/internal/sparse"
 )
 
-// dispatchKernels are the three explicit kernel choices every consistency
+// dispatchKernels are the two explicit kernel choices every consistency
 // test compares; KernelCSR is the anchor.
-var dispatchKernels = []KernelKind{KernelCSR, KernelStencil, KernelSELL}
+var dispatchKernels = []KernelKind{KernelCSR, KernelStencil}
 
 // dispatchCases are stencil-family matrices with block sizes chosen so
 // blocks contain all three row classes: full-in-block fast rows, interior
@@ -73,9 +73,6 @@ func TestKernelAutoDispatch(t *testing.T) {
 	if p.StencilInfo() != nil {
 		t.Fatal("csr plan should carry no stencil info")
 	}
-	if p.SELLSlotRatio() != 0 {
-		t.Fatal("csr plan should report no SELL slot ratio")
-	}
 
 	// Exact-local plans never run the sweep kernel; auto resolves to CSR.
 	p, err = NewPlan(fv, 64, true)
@@ -84,12 +81,6 @@ func TestKernelAutoDispatch(t *testing.T) {
 	}
 	if p.Kernel() != KernelCSR {
 		t.Fatalf("auto exact-local plan: kernel %v, want csr", p.Kernel())
-	}
-
-	// Explicit SELL builds the sliced layout on any staged matrix.
-	p = planForKernel(t, tref, 32, KernelSELL)
-	if r := p.SELLSlotRatio(); r < 1 {
-		t.Fatalf("SELL slot ratio %v, want >= 1", r)
 	}
 
 	// Explicit stencil on a non-stencil matrix fails plan construction.
@@ -119,7 +110,7 @@ func TestKernelAutoDispatch(t *testing.T) {
 func TestParseKernel(t *testing.T) {
 	for s, want := range map[string]KernelKind{
 		"": KernelAuto, "auto": KernelAuto, "csr": KernelCSR,
-		"stencil": KernelStencil, "SELL": KernelSELL,
+		"stencil": KernelStencil, "CSR": KernelCSR,
 	} {
 		k, err := ParseKernel(s)
 		if err != nil || k != want {
@@ -129,17 +120,21 @@ func TestParseKernel(t *testing.T) {
 			t.Errorf("%v.String() = %q", k, k.String())
 		}
 	}
-	if _, err := ParseKernel("ellpack"); err == nil {
-		t.Error("ParseKernel(ellpack): want error")
+	for _, s := range []string{"ellpack", "sell"} {
+		_, err := ParseKernel(s)
+		if err == nil || !strings.Contains(err.Error(), `(want "auto", "csr" or "stencil")`) {
+			t.Errorf("ParseKernel(%q) error = %v, want one listing auto, csr and stencil", s, err)
+		}
 	}
 }
 
 // TestKernelConsistencyShortFV is the CI -short consistency gate: on the
-// fv stencil family, solves dispatched through the stencil and SELL
-// kernels must be bit-identical to the packed-CSR baseline under the
-// seeded simulated engine, whose racing reader makes Load-order divergence
-// impossible to miss. FVTiled rides along under KernelAuto: whatever the
-// detector decides for the permuted operator must not change the result.
+// fv stencil family, solves dispatched through the stencil kernel and
+// under KernelAuto must be bit-identical to the packed-CSR baseline under
+// the seeded simulated engine, whose racing reader makes Load-order
+// divergence impossible to miss. FVTiled rides along under KernelAuto:
+// whatever the detector decides for the permuted operator must not change
+// the result.
 func TestKernelConsistencyShortFV(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -164,7 +159,7 @@ func TestKernelConsistencyShortFV(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			kernels := []KernelKind{KernelSELL, KernelAuto}
+			kernels := []KernelKind{KernelAuto}
 			if _, ok := sparse.DetectStencil(tc.a); ok {
 				kernels = append(kernels, KernelStencil)
 			}
@@ -217,8 +212,8 @@ func TestKernelConsistencySimulated(t *testing.T) {
 }
 
 // TestKernelConsistencyGoroutineReplay replays one recorded concurrent
-// schedule through all three kernels: bit-identical iterates mean the
-// stencil and SELL sweeps preserve the CSR kernel's operation order under
+// schedule through both kernels: bit-identical iterates mean the
+// stencil sweep preserves the CSR kernel's operation order under
 // a real interleaving, not just the sequential emulation.
 func TestKernelConsistencyGoroutineReplay(t *testing.T) {
 	if testing.Short() {

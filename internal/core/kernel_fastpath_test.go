@@ -37,7 +37,6 @@ func TestFastPathBitIdentical(t *testing.T) {
 		kind KernelKind
 	}{
 		{"csr-trefethen", mats.Trefethen(300), 64, KernelCSR},
-		{"sell-trefethen", mats.Trefethen(300), 64, KernelSELL},
 		{"stencil-fvtiled", mats.FVTiled(40, 24, 1.368), 128, KernelStencil},
 		{"stencil-poisson", mats.Poisson2D(24, 25), 96, KernelStencil},
 	}

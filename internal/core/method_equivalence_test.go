@@ -15,7 +15,7 @@ import (
 
 // methodCases are the systems the method-equivalence suite sweeps: one
 // matrix per kernel family (9-point fv stencil, 5-point Poisson stencil,
-// banded Trefethen — no stencil, so SELL/CSR only).
+// banded Trefethen — no stencil, so CSR only).
 func methodCases() []struct {
 	name string
 	a    *sparse.CSR
@@ -33,7 +33,7 @@ func methodCases() []struct {
 }
 
 func methodKernels(a *sparse.CSR) []KernelKind {
-	ks := []KernelKind{KernelCSR, KernelSELL}
+	ks := []KernelKind{KernelCSR}
 	if _, ok := sparse.DetectStencil(a); ok {
 		ks = append(ks, KernelStencil)
 	}

@@ -36,7 +36,7 @@ type Plan struct {
 
 	// kernel is the resolved sweep-kernel dispatch (see kernel_dispatch.go);
 	// stencil carries the matrix-free kernel's data when kernel is
-	// KernelStencil, and the SELL layout hangs off each blockView.
+	// KernelStencil.
 	kernel  KernelKind
 	stencil *stencilData
 
@@ -72,7 +72,7 @@ func (p *Plan) getIterScratch() *iterScratch {
 func (p *Plan) putIterScratch(s *iterScratch) { p.iterPool.Put(s) }
 
 // kernelFor selects the block kernel implementation: the plan's resolved
-// dispatch (matrix-free stencil, SELL-C, or the fused packed-CSR hot path)
+// dispatch (matrix-free stencil or the fused packed-CSR hot path)
 // when the plan carries packed views, the reference two-step path otherwise
 // (or when a test pins it via Options.referenceKernel). All of them produce
 // bit-identical iterates, so every engine, replay and shard path runs any
@@ -81,11 +81,8 @@ func (p *Plan) kernelFor(reference bool) kernelFunc {
 	if !p.staged || reference {
 		return runBlockKernelReference
 	}
-	switch p.kernel {
-	case KernelStencil:
+	if p.kernel == KernelStencil {
 		return p.runBlockKernelStencil
-	case KernelSELL:
-		return runBlockKernelSELL
 	}
 	return runBlockKernel
 }

@@ -94,9 +94,13 @@ type Membership struct {
 	mu    sync.Mutex
 	nodes map[string]*node
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	// startOnce hands the probe loop's lifetime to whichever of Start and
+	// Stop runs first: Start launches the loop, which closes done on exit;
+	// a Stop that comes first closes done itself and leaves no loop to run.
+	startOnce sync.Once
+	stopOnce  sync.Once
+	stop      chan struct{}
+	done      chan struct{}
 }
 
 // NewMembership creates an empty membership whose per-node health
@@ -238,26 +242,31 @@ func (m *Membership) ReportFailure(name string, err error) {
 	m.recordFailureLocked(n, msg)
 }
 
-// Start launches the probe loop. Stop terminates it.
+// Start launches the probe loop. Stop terminates it; a Start after Stop,
+// or a second Start, does nothing.
 func (m *Membership) Start() {
-	go func() {
-		defer close(m.done)
-		t := time.NewTicker(m.cfg.ProbeInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-m.stop:
-				return
-			case <-t.C:
-				m.ProbeOnce()
+	m.startOnce.Do(func() {
+		go func() {
+			defer close(m.done)
+			t := time.NewTicker(m.cfg.ProbeInterval)
+			defer t.Stop()
+			for {
+				select {
+				case <-m.stop:
+					return
+				case <-t.C:
+					m.ProbeOnce()
+				}
 			}
-		}
-	}()
+		}()
+	})
 }
 
-// Stop terminates the probe loop and waits for it to exit.
+// Stop terminates the probe loop and waits for it to exit. On a
+// membership that was never started it returns at once.
 func (m *Membership) Stop() {
 	m.stopOnce.Do(func() { close(m.stop) })
+	m.startOnce.Do(func() { close(m.done) })
 	<-m.done
 }
 

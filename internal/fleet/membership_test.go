@@ -8,16 +8,19 @@ import (
 	"time"
 )
 
-// switchableNode is a /readyz endpoint whose health can be flipped.
+// switchableNode is a /readyz endpoint whose health can be flipped;
+// probes counts the requests it has answered.
 type switchableNode struct {
-	ts   *httptest.Server
-	down atomic.Bool
+	ts     *httptest.Server
+	down   atomic.Bool
+	probes atomic.Int64
 }
 
 func newSwitchableNode(t *testing.T) *switchableNode {
 	t.Helper()
 	n := &switchableNode{}
 	n.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n.probes.Add(1)
 		if n.down.Load() {
 			http.Error(w, "down", http.StatusServiceUnavailable)
 			return
@@ -155,5 +158,46 @@ func TestMembershipProbeLoop(t *testing.T) {
 			t.Fatal("node not re-admitted by the probe loop")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestGatewayCloseStopsProbeLoop: Close on a gateway that was never
+// started returns (there is no probe loop to wait for), and Close after
+// Start returns only once the loop has exited, so no probe lands after it.
+func TestGatewayCloseStopsProbeLoop(t *testing.T) {
+	closed := make(chan struct{})
+	go func() {
+		NewGateway(GatewayConfig{}).Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close on an unstarted gateway did not return")
+	}
+
+	a := newSwitchableNode(t)
+	g := NewGateway(GatewayConfig{Membership: MembershipConfig{ProbeInterval: time.Millisecond}})
+	if err := g.Membership().Register("a", a.ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	deadline := time.Now().Add(3 * time.Second)
+	for a.probes.Load() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("probe loop never probed the node")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	g.Close()
+	n := a.probes.Load()
+	time.Sleep(20 * time.Millisecond)
+	if got := a.probes.Load(); got != n {
+		t.Errorf("%d probes landed after Close returned", got-n)
+	}
+	g.Start() // a stopped membership does not restart
+	time.Sleep(20 * time.Millisecond)
+	if got := a.probes.Load(); got != n {
+		t.Errorf("Start after Close probed %d more times", got-n)
 	}
 }

@@ -197,25 +197,6 @@ func (m PerfModel) AsyncIterTime(n, nnz, k int) float64 {
 	return base * (1 + m.LocalSweep*float64(k-1))
 }
 
-// AsyncIterTimeKernel prices a global async-(k) iteration executed by a
-// sweep kernel whose per-nonzero memory traffic differs from the packed-CSR
-// baseline by the factor traffic (1 = CSR). Only the bandwidth-bound PerNNZ
-// term scales — launch overhead and the O(n²) dense-fringe term are kernel-
-// independent — so traffic < 1 (a matrix-free stencil that loads no column
-// indices, a float32 iterate) buys proportionally less than its raw byte
-// ratio on small systems, matching the roofline behaviour of Figure 8.
-func (m PerfModel) AsyncIterTimeKernel(n, nnz, k int, traffic float64) float64 {
-	checkDims(n, nnz)
-	if k <= 0 {
-		panic(fmt.Sprintf("gpusim: AsyncIterTimeKernel local sweeps k=%d must be positive", k))
-	}
-	if traffic <= 0 {
-		panic(fmt.Sprintf("gpusim: AsyncIterTimeKernel traffic factor %g must be positive", traffic))
-	}
-	base := m.AsyncLaunch + m.AsyncQuad*float64(n)*float64(n) + m.PerNNZ*float64(nnz)*traffic
-	return base * (1 + m.LocalSweep*float64(k-1))
-}
-
 // CGIterTime returns the modeled time of one GPU CG iteration (one SpMV
 // plus reduction synchronizations).
 func (m PerfModel) CGIterTime(n, nnz int) float64 {

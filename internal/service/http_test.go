@@ -273,6 +273,13 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid request status = %d, want 400", resp.StatusCode)
 	}
+
+	_, resp = postSolve(t, ts, SolveRequest{SolverSpec: SolverSpec{
+		Matrix: "Trefethen_2000", BlockSize: 64, LocalIters: 2, MaxGlobalIters: 10, Kernel: "sell",
+	}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("kernel sell status = %d, want 400", resp.StatusCode)
+	}
 }
 
 func TestHTTPJobList(t *testing.T) {

@@ -67,7 +67,7 @@ func TestServiceMethodValidation(t *testing.T) {
 		{"beta out of range", func(r *SolveRequest) { r.Method = "richardson2"; r.Beta = 1.5 }, "beta"},
 		{"beta without richardson2", func(r *SolveRequest) { r.Beta = 0.3 }, "richardson2"},
 		{"multigrid with engine", func(r *SolveRequest) { r.Method = "multigrid"; r.Engine = "goroutine" }, "multigrid"},
-		{"multigrid with kernel", func(r *SolveRequest) { r.Method = "multigrid"; r.Kernel = "sell" }, "multigrid"},
+		{"multigrid with kernel", func(r *SolveRequest) { r.Method = "multigrid"; r.Kernel = "csr" }, "multigrid"},
 		{"multigrid with tune", func(r *SolveRequest) { r.Method = "multigrid"; r.Tune = "auto" }, "multigrid"},
 	} {
 		req := quickRequest(t)

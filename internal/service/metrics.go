@@ -63,7 +63,7 @@ func (s *Service) instrument() {
 			s.deviceSolves[strat].Load, "strategy", strat.String())
 	}
 
-	for _, kern := range []core.KernelKind{core.KernelCSR, core.KernelStencil, core.KernelSELL} {
+	for _, kern := range []core.KernelKind{core.KernelCSR, core.KernelStencil} {
 		kern := kern
 		reg.CounterFunc("service_kernel_solves_total",
 			"Solve attempts by resolved sweep kernel.",

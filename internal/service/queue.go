@@ -121,11 +121,11 @@ type JobResult struct {
 	// 0 when no prediction applied (certify off, no Converges verdict, or
 	// a fallback run).
 	PredictedVsActual float64 `json:"predicted_vs_actual,omitempty"`
-	// Kernel is the sweep-kernel dispatch the plan resolved to ("csr",
-	// "stencil" or "sell") — under kernel "auto" this reports what the
-	// detector actually chose. Precision echoes the iterate storage
-	// precision the solve ran with ("f64" or "f32"). Both empty for
-	// fallback runs, which bypass the block-asynchronous kernels.
+	// Kernel is the sweep-kernel dispatch the plan resolved to ("csr" or
+	// "stencil") — under kernel "auto" this reports what the detector
+	// actually chose. Precision echoes the iterate storage precision the
+	// solve ran with ("f64" or "f32"). Both empty for fallback runs, which
+	// bypass the block-asynchronous kernels.
 	Kernel    string `json:"kernel,omitempty"`
 	Precision string `json:"precision,omitempty"`
 	// Method echoes the solver method the attempt ran with ("jacobi",

@@ -65,8 +65,8 @@ type SolverSpec struct {
 	// solve if no row of the matrix matches it.
 	Stencil *StencilDecl `json:"stencil,omitempty"`
 	// Kernel selects the sweep-kernel dispatch: "" or "auto" (detect
-	// stencil structure and fall back to packed CSR), "csr", "stencil" or
-	// "sell". An explicit "stencil" on a matrix without constant-coefficient
+	// stencil structure and fall back to packed CSR), "csr" or "stencil".
+	// An explicit "stencil" on a matrix without constant-coefficient
 	// structure fails the solve at plan build. Kernel dispatch is
 	// bit-transparent: every choice produces the identical iterate.
 	Kernel string `json:"kernel,omitempty"`
@@ -419,7 +419,7 @@ type Service struct {
 	// kernelSolves counts solve attempts per resolved sweep kernel,
 	// indexed by core.KernelKind (the Auto slot stays 0 — attempts are
 	// counted under the kernel the plan actually resolved to).
-	kernelSolves [4]atomic.Uint64
+	kernelSolves [3]atomic.Uint64
 	// methodSolves counts solve attempts per resolved method: slots 0 and 1
 	// are core.RuleJacobi / core.RuleRichardson2 (counted after tuning, so
 	// a tuned richardson2 pick lands in its own slot), slot 2 the multigrid
@@ -745,7 +745,6 @@ func (s *Service) Stats() Stats {
 		KernelSolves: map[string]uint64{
 			core.KernelCSR.String():     s.kernelSolves[core.KernelCSR].Load(),
 			core.KernelStencil.String(): s.kernelSolves[core.KernelStencil].Load(),
-			core.KernelSELL.String():    s.kernelSolves[core.KernelSELL].Load(),
 		},
 		MethodSolves: map[string]uint64{
 			core.RuleJacobi.String():      s.methodSolves[core.RuleJacobi].Load(),

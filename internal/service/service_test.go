@@ -570,8 +570,8 @@ func TestServiceKernelAndPrecision(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.KernelSolves["stencil"] != 1 || st.KernelSolves["csr"] != 1 {
-		t.Errorf("kernel solve counters = %v", st.KernelSolves)
+	if len(st.KernelSolves) != 2 || st.KernelSolves["stencil"] != 1 || st.KernelSolves["csr"] != 1 {
+		t.Errorf("kernel solve counters = %v, want exactly csr 1 and stencil 1", st.KernelSolves)
 	}
 	var sb strings.Builder
 	if err := s.Metrics().WriteText(&sb); err != nil {
@@ -579,6 +579,9 @@ func TestServiceKernelAndPrecision(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `service_kernel_solves_total{kernel="stencil"} 1`) {
 		t.Error("/metricsz missing service_kernel_solves_total{kernel=\"stencil\"} 1")
+	}
+	if strings.Contains(sb.String(), `kernel="sell"`) {
+		t.Error(`/metricsz still exposes a kernel="sell" series`)
 	}
 
 	// An explicit stencil kernel on a non-stencil matrix fails the job at
@@ -599,12 +602,16 @@ func TestServiceKernelAndPrecision(t *testing.T) {
 	// Unknown kernel / precision names are rejected at submission.
 	for _, tweak := range []func(*SolveRequest){
 		func(r *SolveRequest) { r.Kernel = "ellpack" },
+		func(r *SolveRequest) { r.Kernel = "sell" },
 		func(r *SolveRequest) { r.Precision = "f16" },
 	} {
 		r := quickRequest(t)
 		tweak(&r)
-		if _, err := s.Submit(r); err == nil {
+		_, err := s.Submit(r)
+		if err == nil {
 			t.Errorf("bad request %+v accepted", r)
+		} else if r.Kernel != "" && !strings.Contains(err.Error(), `(want "auto", "csr" or "stencil")`) {
+			t.Errorf("kernel %q rejected with %q, want the kernel names listed", r.Kernel, err)
 		}
 	}
 }

@@ -31,13 +31,13 @@
 //     internal/gpusim, so a configuration that iterates faster but
 //     converges slower is priced honestly (the paper's Figure 8 trade-off).
 //
-// After the (block, k, ω) search, a kernel/precision stage re-prices the
-// winning plan under each available sweep kernel (matrix-free stencil,
-// sliced-ELL, packed CSR). Because the kernels are bit-transparent, the
-// measured contraction rate transfers and the float64 candidates cost
-// zero extra probe solves — only the modeled memory traffic differs;
-// a float32 candidate (Config.Precisions) re-probes the winner once.
-// See docs/KERNELS.md for the dispatch and traffic model.
+// The tuner picks no sweep kernel and no precision. Every plan it builds
+// dispatches by internal/core's one kernel rule (the matrix-free stencil
+// kernel when the matrix detects stencil structure, packed CSR
+// otherwise), and every probe runs in float64. Kernel dispatch is
+// bit-transparent, so it changes no probe's rate; the score prices every
+// probe at the model's packed-CSR per-iteration cost (see
+// docs/KERNELS.md).
 //
 // A Result is a plain value; internal/service caches one per matrix
 // fingerprint so repeated solves of a known matrix skip the search

@@ -27,18 +27,6 @@ type Config struct {
 	// many probe solves after the (block size, k) grid (default 8).
 	// Negative disables the ω stage entirely and keeps ω = 1.
 	OmegaProbes int
-	// Kernels are the candidate sweep-kernel dispatches for the post-grid
-	// kernel stage. Default: core.KernelCSR and core.KernelSELL, plus
-	// core.KernelStencil when the matrix detects stencil structure. The
-	// stage needs no extra probe solves in f64 — kernel dispatch is
-	// bit-transparent (see internal/core), so the grid winner's measured
-	// rate applies to every kernel and only the modeled traffic differs.
-	Kernels []core.KernelKind
-	// Precisions are the candidate iterate storage precisions (default
-	// {core.PrecF64}). Adding core.PrecF32 lets the stage weigh the reduced
-	// iterate traffic against the rounding's effect on the contraction
-	// rate, which it measures with one extra probe solve.
-	Precisions []string
 }
 
 // spectralSteps is the Lanczos iteration count used to center the ω
@@ -64,9 +52,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OmegaProbes == 0 {
 		c.OmegaProbes = 8
-	}
-	if len(c.Precisions) == 0 {
-		c.Precisions = []string{core.PrecF64}
 	}
 	return c
 }
@@ -101,14 +86,6 @@ type Result struct {
 	// first-order rule won (or the stage was disabled).
 	Method core.RuleKind
 	Beta   float64
-	// Kernel and Precision are the kernel stage's winners: the sweep-kernel
-	// dispatch and iterate storage precision with the lowest modeled time
-	// per digit at the winning (block size, k, ω). KernelTraffic is the
-	// winner's modeled per-nonzero traffic factor relative to packed CSR
-	// (see gpusim.AsyncIterTimeKernel).
-	Kernel        core.KernelKind
-	Precision     string
-	KernelTraffic float64
 }
 
 // Tune searches (block size, local iterations, ω) for the given system and
@@ -157,7 +134,7 @@ func Tune(a *sparse.CSR, b []float64, cfg Config) (Result, error) {
 		}
 		scores := make([]score, len(ks))
 		probeAll(len(ks), func(i int) {
-			scores[i] = cfg.probe(plan, b, ks[i], 1, core.RuleJacobi, 0, core.PrecF64)
+			scores[i] = cfg.probe(plan, b, ks[i], 1, core.RuleJacobi, 0)
 		})
 		best.ProbeSolves += len(ks)
 		for i, s := range scores {
@@ -181,7 +158,6 @@ func Tune(a *sparse.CSR, b []float64, cfg Config) (Result, error) {
 		cfg.refineOmega(a, b, bestPlan, &best)
 	}
 	cfg.methodStage(b, bestPlan, &best)
-	cfg.kernelStage(a, b, bestPlan, &best)
 	return best, nil
 }
 
@@ -216,7 +192,7 @@ func (cfg Config) methodStage(b []float64, plan *core.Plan, best *Result) {
 	k, omega := best.LocalIters, best.Omega
 	scores := make([]score, len(methodBetas))
 	probeAll(len(methodBetas), func(i int) {
-		scores[i] = cfg.probe(plan, b, k, omega, core.RuleRichardson2, methodBetas[i], core.PrecF64)
+		scores[i] = cfg.probe(plan, b, k, omega, core.RuleRichardson2, methodBetas[i])
 	})
 	best.ProbeSolves += len(methodBetas)
 	for i, s := range scores {
@@ -228,103 +204,6 @@ func (cfg Config) methodStage(b []float64, plan *core.Plan, best *Result) {
 			best.Beta = methodBetas[i]
 			best.Rate = s.rate
 			best.SecondsPerDigit = s.perDigit
-		}
-	}
-}
-
-// Modeled per-nonzero traffic of the non-CSR execution paths, relative to
-// the packed-CSR sweep (value + column index per nonzero). An interior
-// stencil row loads no column indices and keeps its coefficients in
-// registers, leaving roughly the iterate gather; a SELL slice trades
-// aligned contiguous loads against its padding slots; a float32 iterate
-// halves the vector traffic while the matrix values stay float64. The
-// constants mirror the byte ratios the docs/KERNELS.md walkthrough derives.
-const (
-	stencilTraffic = 0.55
-	sellTraffic    = 0.9
-	f32Traffic     = 0.8
-)
-
-// kernelTraffic models a plan's per-nonzero traffic factor from its own
-// statistics: the stencil kernel only accelerates the detected interior
-// rows (boundary rows still run packed CSR), and a SELL layout pays for
-// every padded slot it stores.
-func kernelTraffic(p *core.Plan) float64 {
-	switch p.Kernel() {
-	case core.KernelStencil:
-		f := p.StencilInfo().InteriorFraction()
-		return f*stencilTraffic + (1 - f)
-	case core.KernelSELL:
-		return sellTraffic * p.SELLSlotRatio()
-	default:
-		return 1
-	}
-}
-
-// kernelStage joins the kernel × precision grid at the winning
-// (block size, k, ω). In f64 the grid winner's measured rate transfers to
-// every kernel verbatim (dispatch is bit-transparent), so the stage is pure
-// pricing: build each candidate plan, read its traffic statistics, and keep
-// the cheapest modeled time per digit. A float32 candidate changes the
-// trajectory, so its rate is measured once by a probe on the winning plan —
-// f32 rounding is also kernel-transparent, making that single probe valid
-// for every kernel candidate.
-func (cfg Config) kernelStage(a *sparse.CSR, b []float64, bestPlan *core.Plan, best *Result) {
-	kernels := cfg.Kernels
-	if len(kernels) == 0 {
-		kernels = []core.KernelKind{core.KernelCSR, core.KernelSELL}
-		if _, ok := sparse.DetectStencil(a); ok {
-			kernels = append(kernels, core.KernelStencil)
-		}
-	}
-	// The candidates' rates in Config.Precisions order, so a tie goes to
-	// the precision listed first.
-	type precRate struct {
-		prec string
-		rate float64
-	}
-	var rates []precRate
-	for _, prec := range cfg.Precisions {
-		if prec == "" || prec == core.PrecF64 {
-			rates = append(rates, precRate{core.PrecF64, best.Rate})
-			continue
-		}
-		best.ProbeSolves++
-		if s := cfg.probe(bestPlan, b, best.LocalIters, best.Omega, best.Method, best.Beta, prec); s.ok {
-			rates = append(rates, precRate{prec, s.rate})
-		}
-	}
-	best.Kernel = core.KernelCSR
-	best.Precision = core.PrecF64
-	best.KernelTraffic = 1
-	m := bestPlan.Matrix()
-	for _, k := range kernels {
-		traffic := 1.0
-		if k != core.KernelCSR { // CSR is the traffic baseline; no plan needed
-			plan := bestPlan
-			if k != bestPlan.Kernel() {
-				p, err := core.NewPlanWithConfig(a, best.BlockSize, false, core.PlanConfig{Kernel: k})
-				if err != nil {
-					continue // e.g. no stencil structure for an explicit stencil candidate
-				}
-				plan = p
-			}
-			traffic = kernelTraffic(plan)
-		}
-		for _, r := range rates {
-			pt := traffic
-			if r.prec == core.PrecF32 {
-				pt *= f32Traffic
-			}
-			iterTime := model.AsyncIterTimeKernel(m.Rows, m.NNZ(), best.LocalIters, pt)
-			perDigit := iterTime * math.Ln10 / -math.Log(r.rate)
-			if perDigit < best.SecondsPerDigit {
-				best.Kernel = k
-				best.Precision = r.prec
-				best.KernelTraffic = pt
-				best.Rate = r.rate
-				best.SecondsPerDigit = perDigit
-			}
 		}
 	}
 }
@@ -351,7 +230,7 @@ func (cfg Config) refineOmega(a *sparse.CSR, b []float64, plan *core.Plan, best 
 	k := best.LocalIters
 	GoldenSection(func(w float64) float64 {
 		best.ProbeSolves++
-		s := cfg.probe(plan, b, k, w, core.RuleJacobi, 0, core.PrecF64)
+		s := cfg.probe(plan, b, k, w, core.RuleJacobi, 0)
 		if !s.ok {
 			return math.Inf(1)
 		}
@@ -376,14 +255,13 @@ type score struct {
 // geometric-mean contraction rate over the recorded history, priced by the
 // model's per-iteration cost as seconds per decimal digit. It reads only
 // its arguments, so probes may run side by side.
-func (cfg Config) probe(p *core.Plan, b []float64, k int, omega float64, method core.RuleKind, beta float64, precision string) score {
+func (cfg Config) probe(p *core.Plan, b []float64, k int, omega float64, method core.RuleKind, beta float64) score {
 	res, err := core.SolveWithPlan(p, b, core.Options{
 		BlockSize:      p.BlockSize(),
 		LocalIters:     k,
 		Omega:          omega,
 		Method:         method,
 		Beta:           beta,
-		Precision:      precision,
 		MaxGlobalIters: cfg.ProbeIters,
 		RecordHistory:  true,
 		Seed:           cfg.Seed,

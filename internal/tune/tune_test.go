@@ -182,93 +182,12 @@ func TestTuneProbeUsesWarmPlan(t *testing.T) {
 	}
 }
 
-// TestTuneKernelStagePicksStencilOnFV: the fv grid operator detects as a
-// 9-point stencil, whose matrix-free sweep is modeled strictly cheaper per
-// nonzero, so the default kernel stage must select it — without any extra
-// probe solves, since kernel dispatch is bit-transparent in f64.
-func TestTuneKernelStagePicksStencilOnFV(t *testing.T) {
-	a := mats.FV(30, 30, 1.368)
-	b := onesRHS(a)
-	csrOnly, err := Tune(a, b, Config{Seed: 1, Kernels: []core.KernelKind{core.KernelCSR}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if csrOnly.Kernel != core.KernelCSR || csrOnly.KernelTraffic != 1 {
-		t.Fatalf("CSR-only stage: kernel %v traffic %g", csrOnly.Kernel, csrOnly.KernelTraffic)
-	}
-	res, err := Tune(a, b, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Kernel != core.KernelStencil {
-		t.Errorf("kernel stage picked %v on a stencil operator, want stencil", res.Kernel)
-	}
-	if res.Precision != core.PrecF64 {
-		t.Errorf("default precision grid produced %q, want f64", res.Precision)
-	}
-	if !(res.KernelTraffic > 0 && res.KernelTraffic < 1) {
-		t.Errorf("stencil traffic factor %g, want in (0,1)", res.KernelTraffic)
-	}
-	if res.SecondsPerDigit >= csrOnly.SecondsPerDigit {
-		t.Errorf("stencil kernel did not improve the modeled score: %g >= %g",
-			res.SecondsPerDigit, csrOnly.SecondsPerDigit)
-	}
-	if res.ProbeSolves != csrOnly.ProbeSolves {
-		t.Errorf("f64 kernel stage ran extra probes: %d vs %d", res.ProbeSolves, csrOnly.ProbeSolves)
-	}
-}
-
-// TestTuneKernelStageF32 checks the precision half of the join: adding f32
-// to the grid costs exactly one extra probe solve (the rate re-measure on
-// the winning plan) and yields a well-formed winner either way.
-func TestTuneKernelStageF32(t *testing.T) {
-	a := mats.FV(30, 30, 1.368)
-	b := onesRHS(a)
-	f64only, err := Tune(a, b, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Tune(a, b, Config{Seed: 1, Precisions: []string{core.PrecF64, core.PrecF32}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.ProbeSolves - f64only.ProbeSolves; got != 1 {
-		t.Errorf("f32 candidate cost %d extra probe solves, want exactly 1", got)
-	}
-	if res.Precision != core.PrecF64 && res.Precision != core.PrecF32 {
-		t.Errorf("winner precision %q", res.Precision)
-	}
-	if res.SecondsPerDigit > f64only.SecondsPerDigit {
-		t.Errorf("wider grid regressed the score: %g > %g", res.SecondsPerDigit, f64only.SecondsPerDigit)
-	}
-	if !(res.Rate > 0 && res.Rate < 1) {
-		t.Errorf("winner rate %g not contracting", res.Rate)
-	}
-}
-
-// TestTuneKernelStageTrefethen: no stencil structure, so the stage decides
-// between CSR and SELL purely on the slice padding ratio.
-func TestTuneKernelStageTrefethen(t *testing.T) {
-	a := mats.Trefethen(300)
-	b := onesRHS(a)
-	res, err := Tune(a, b, Config{Seed: 3, BlockSizes: []int{64}, LocalIters: []int{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Kernel == core.KernelStencil {
-		t.Error("kernel stage picked stencil on a matrix with row-varying coefficients")
-	}
-	if res.KernelTraffic <= 0 {
-		t.Errorf("traffic factor %g", res.KernelTraffic)
-	}
-}
-
 // goldenKey renders every field of a Result, floats by their bits.
 func goldenKey(r Result) string {
 	f := math.Float64bits
-	return fmt.Sprintf("bs=%d k=%d omega=%x rate=%x spd=%x probed=%d skipped=%d solves=%d bracket=%x,%x spectral=%v method=%v beta=%x kernel=%v prec=%q traffic=%x",
+	return fmt.Sprintf("bs=%d k=%d omega=%x rate=%x spd=%x probed=%d skipped=%d solves=%d bracket=%x,%x spectral=%v method=%v beta=%x",
 		r.BlockSize, r.LocalIters, f(r.Omega), f(r.Rate), f(r.SecondsPerDigit), r.Probed, r.Skipped, r.ProbeSolves,
-		f(r.OmegaBracket[0]), f(r.OmegaBracket[1]), r.OmegaFromSpectral, r.Method, f(r.Beta), r.Kernel, r.Precision, f(r.KernelTraffic))
+		f(r.OmegaBracket[0]), f(r.OmegaBracket[1]), r.OmegaFromSpectral, r.Method, f(r.Beta))
 }
 
 // TestTuneGolden pins the whole Result of the default search, floats by
@@ -278,17 +197,15 @@ func goldenKey(r Result) string {
 // side by side are folded in grid order.
 func TestTuneGolden(t *testing.T) {
 	for _, tc := range []struct {
-		matrix     string
-		precisions []string
-		want       string
-		err        string
+		matrix string
+		want   string
+		err    string
 	}{
-		{matrix: "fv1", want: `bs=896 k=8 omega=3ff4cc35b8cfbe01 rate=3fdfc8af9ab7e620 spd=3fa9782631fef957 probed=25 skipped=0 solves=36 bracket=3fe8b4284e5f2140,3ffc5a14272f90a0 spectral=true method=richardson2 beta=3fe0000000000000 kernel=stencil prec="f64" traffic=3fe6ee8907e94f90`},
-		{matrix: "Trefethen_2000", want: `bs=64 k=8 omega=3ff0000000000000 rate=3fce4eea7ec4bc36 spd=3f634f8cc1a06539 probed=25 skipped=0 solves=36 bracket=3fd83272c210cf02,3ff60c9cb08433c0 spectral=true method=richardson2 beta=3fe0000000000000 kernel=sell prec="f64" traffic=3fed71f36262cba7`},
-		{matrix: "Trefethen_2000", precisions: []string{core.PrecF64, core.PrecF32}, want: `bs=64 k=8 omega=3ff0000000000000 rate=3fce4eea7ec4bc36 spd=3f634f8cc1a06539 probed=25 skipped=0 solves=37 bracket=3fd83272c210cf02,3ff60c9cb08433c0 spectral=true method=richardson2 beta=3fe0000000000000 kernel=sell prec="f64" traffic=3fed71f36262cba7`},
-		{matrix: "Chem97ZtZ", want: `bs=64 k=1 omega=3feaf03b8224a73e rate=3fd6392f9b67ec90 spd=3f69f63cd666573b probed=25 skipped=0 solves=36 bracket=3fd574b1afec51ec,3ff55d2c6bfb147b spectral=true method=richardson2 beta=3fb999999999999a kernel=sell prec="f64" traffic=3feccccccccccccd`},
-		{matrix: "poisson2d_31", want: `bs=64 k=2 omega=3ff163c78a20e980 rate=3fecd74447a87f68 spd=3f92714c122c9757 probed=25 skipped=0 solves=36 bracket=3fe01ac5aa80c2ba,3ff80d62d540615d spectral=true method=richardson2 beta=3fe0000000000000 kernel=stencil prec="f64" traffic=3fe365eba5da9956`},
-		{matrix: "s1rmt3m1", want: `bs=0 k=0 omega=3ff0000000000000 rate=0 spd=7ff0000000000000 probed=25 skipped=25 solves=25 bracket=0,0 spectral=false method=jacobi beta=0 kernel=auto prec="" traffic=0`,
+		{matrix: "fv1", want: `bs=896 k=8 omega=3ff4cc35b8cfbe01 rate=3fdfc8af9ab7e620 spd=3fa97949df6032a3 probed=25 skipped=0 solves=36 bracket=3fe8b4284e5f2140,3ffc5a14272f90a0 spectral=true method=richardson2 beta=3fe0000000000000`},
+		{matrix: "Trefethen_2000", want: `bs=64 k=8 omega=3ff0000000000000 rate=3fce4eea7ec4bc36 spd=3f6350c6b9588330 probed=25 skipped=0 solves=36 bracket=3fd83272c210cf02,3ff60c9cb08433c0 spectral=true method=richardson2 beta=3fe0000000000000`},
+		{matrix: "Chem97ZtZ", want: `bs=64 k=1 omega=3feaf03b8224a73e rate=3fd6392f9b67ec90 spd=3f69f68974a6fa1b probed=25 skipped=0 solves=36 bracket=3fd574b1afec51ec,3ff55d2c6bfb147b spectral=true method=richardson2 beta=3fb999999999999a`},
+		{matrix: "poisson2d_31", want: `bs=64 k=2 omega=3ff163c78a20e980 rate=3fecd74447a87f68 spd=3f927240e5dcfa09 probed=25 skipped=0 solves=36 bracket=3fe01ac5aa80c2ba,3ff80d62d540615d spectral=true method=richardson2 beta=3fe0000000000000`},
+		{matrix: "s1rmt3m1", want: `bs=0 k=0 omega=3ff0000000000000 rate=0 spd=7ff0000000000000 probed=25 skipped=25 solves=25 bracket=0,0 spectral=false method=jacobi beta=0`,
 			err: "tune: no candidate configuration contracted (ρ(|B|) ≥ 1?)"},
 	} {
 		tm, err := mats.Generate(tc.matrix)
@@ -297,16 +214,16 @@ func TestTuneGolden(t *testing.T) {
 		}
 		b := make([]float64, tm.A.Rows)
 		tm.A.MulVec(b, vecmath.Ones(tm.A.Cols))
-		res, err := Tune(tm.A, b, Config{Seed: 1, Precisions: tc.precisions})
+		res, err := Tune(tm.A, b, Config{Seed: 1})
 		var errText string
 		if err != nil {
 			errText = err.Error()
 		}
 		if errText != tc.err {
-			t.Errorf("%s %v: error %q, want %q", tc.matrix, tc.precisions, errText, tc.err)
+			t.Errorf("%s: error %q, want %q", tc.matrix, errText, tc.err)
 		}
 		if got := goldenKey(res); got != tc.want {
-			t.Errorf("%s %v:\n got %s\nwant %s", tc.matrix, tc.precisions, got, tc.want)
+			t.Errorf("%s:\n got %s\nwant %s", tc.matrix, got, tc.want)
 		}
 	}
 }
