@@ -29,7 +29,11 @@
 // method.go and docs/METHODS.md) — and the host Table 4 rows: async-(1)
 // nanoseconds per nonzero and the cost of async-(k) relative to async-(1)
 // on this machine's cores, where async-(9) must cost at least ×1.5 so a
-// kernel that skips its local sweeps fails (see hostsweep.go).
+// kernel that skips its local sweeps fails (see hostsweep.go) — and the
+// residual-check cost row: solve-large's solve with a service job's
+// observers, an exact residual check every iteration against the job
+// residual gate, where the gated solves must converge, skip checks and
+// take at most ×0.95 the time (see residual.go).
 //
 // The paper's claims are performance claims — convergence per second, not
 // just per iteration — so the repo's trajectory needs a measured baseline
@@ -130,8 +134,10 @@ func run(args []string, out io.Writer) int {
 	report.Tune = tuneRows
 	hostRows, hostProblems := runHostSweepSuite(*quick, out)
 	report.HostSweep = hostRows
+	residualRows, residualProblems := runResidualSuite(*quick, out)
+	report.Residual = residualRows
 	inRun := figProblems + fleetProblems + certifyProblems + sessionProblems + kernelProblems +
-		methodProblems + tuneProblems + hostProblems
+		methodProblems + tuneProblems + hostProblems + residualProblems
 
 	if !*noWrite {
 		path := filepath.Join(*dir, "BENCH_"+report.Date+".json")

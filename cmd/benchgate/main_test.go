@@ -257,3 +257,22 @@ func TestHostSweepProblem(t *testing.T) {
 		t.Error("×1.02 (sweeps skipped) passed")
 	}
 }
+
+// TestResidualProblem: the residual-check cost row fails on an unconverged
+// solve, on a gated solve that checked every iteration, and on a median
+// time ratio above ×0.95.
+func TestResidualProblem(t *testing.T) {
+	ok := ResidualScenario{Tolerance: 1e-8, Ratio: Spread{Median: 0.75, Min: 0.7, Max: 0.8}}
+	if p := residualProblem(ok); p != "" {
+		t.Errorf("healthy row flagged: %s", p)
+	}
+	for name, row := range map[string]ResidualScenario{
+		"unconverged":   {Tolerance: 1e-8, Unconverged: 1, Ratio: ok.Ratio},
+		"fully checked": {Tolerance: 1e-8, FullyChecked: 3, Ratio: ok.Ratio},
+		"no faster":     {Tolerance: 1e-8, Ratio: Spread{Median: 0.97, Min: 0.9, Max: 1.1}},
+	} {
+		if p := residualProblem(row); p == "" {
+			t.Errorf("%s row passed", name)
+		}
+	}
+}

@@ -59,6 +59,11 @@ type Report struct {
 	// cores (additive field; older baselines simply lack it, and nothing
 	// here is gated against a baseline).
 	HostSweep []HostSweepScenario `json:"hostsweep,omitempty"`
+	// Residual holds the residual-check cost row: a service job's solve
+	// with an exact check every iteration against the job residual gate,
+	// measured in-run (additive field; older baselines simply lack it, and
+	// nothing here is gated against a baseline).
+	Residual []ResidualScenario `json:"residual,omitempty"`
 }
 
 // CaseResult is one benchmark case's measurements. Iteration counts of

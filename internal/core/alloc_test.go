@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mats"
+	"repro/internal/metrics"
 	"repro/internal/sparse"
 )
 
@@ -16,19 +17,26 @@ const poolWorkers = 2
 // mallocsForSolve runs one solve on the warm plan and returns the number of
 // heap objects it allocated. The goroutine engine runs poolWorkers workers,
 // which also compute the exact check's residual rows, and reports every
-// check to an OnResidual callback.
-func mallocsForSolve(t *testing.T, p *Plan, b []float64, iters int, engine EngineKind) uint64 {
+// check to an OnResidual callback. A non-nil sink selects a service job's
+// setup on either engine: the residual gate at a gap of 8, with OnResidual
+// and the sink observing the checks that run; the iterations in between
+// skip their check.
+func mallocsForSolve(t *testing.T, p *Plan, b []float64, iters int, engine EngineKind, sink *SolveMetrics) uint64 {
 	t.Helper()
 	opt := Options{
 		BlockSize:      p.BlockSize(),
 		LocalIters:     3,
 		MaxGlobalIters: iters,
-		Tolerance:      1e-300, // unreachable: every iteration runs the exact residual check
+		Tolerance:      1e-300, // unreachable: no check ever stops the solve
 		Seed:           5,
 		Engine:         engine,
 	}
 	if engine == EngineGoroutine {
 		opt.Workers = poolWorkers
+		opt.OnResidual = func(int, float64) {}
+	}
+	if sink != nil {
+		opt.ResidualEvery, opt.Metrics = 8, sink
 		opt.OnResidual = func(int, float64) {}
 	}
 	var before, after runtime.MemStats
@@ -48,7 +56,8 @@ func mallocsForSolve(t *testing.T, p *Plan, b []float64, iters int, engine Engin
 // of warm-plan solves: with the kernel and iteration scratch pooled in the
 // Plan, a global iteration — schedule order, stale mask, block sweeps, the
 // exact residual check (on the pool's workers for the goroutine engine)
-// and its OnResidual callback — performs no heap allocation. The test
+// and its OnResidual callback, or under the residual gate the skipped
+// check's estimate — performs no heap allocation. The test
 // compares the total allocations of a 2-iteration and a 202-iteration
 // solve on the same warm plan: any per-iteration allocation would separate
 // them by at least 200. A goroutine-engine solve starts poolWorkers
@@ -72,22 +81,25 @@ func TestSteadyStateZeroAllocsPerIteration(t *testing.T) {
 	// goroutine engine's four pooled scratches in most solves.
 	const runs = 15
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	sink := NewSolveMetrics(metrics.NewRegistry(), 16)
 	for engine, slack := range map[EngineKind]int64{EngineSimulated: 0, EngineGoroutine: poolWorkers} {
-		mallocsForSolve(t, p, b, 2, engine) // warm the pools
-		minOf := func(iters int) uint64 {
-			m := mallocsForSolve(t, p, b, iters, engine)
-			for i := 1; i < runs; i++ {
-				if v := mallocsForSolve(t, p, b, iters, engine); v < m {
-					m = v
+		for _, gate := range []*SolveMetrics{nil, sink} {
+			mallocsForSolve(t, p, b, 2, engine, gate) // warm the pools
+			minOf := func(iters int) uint64 {
+				m := mallocsForSolve(t, p, b, iters, engine, gate)
+				for i := 1; i < runs; i++ {
+					if v := mallocsForSolve(t, p, b, iters, engine, gate); v < m {
+						m = v
+					}
 				}
+				return m
 			}
-			return m
-		}
-		short := minOf(2)
-		long := minOf(202)
-		if d := int64(long) - int64(short); d > slack || d < -slack {
-			t.Fatalf("%v engine: steady-state iterations allocate: %d mallocs at 2 iters vs %d at 202 iters (%+d over 200 iterations)",
-				engine, short, long, d)
+			short := minOf(2)
+			long := minOf(202)
+			if d := int64(long) - int64(short); d > slack || d < -slack {
+				t.Fatalf("%v engine (gated %v): steady-state iterations allocate: %d mallocs at 2 iters vs %d at 202 iters (%+d over 200 iterations)",
+					engine, gate != nil, short, long, d)
+			}
 		}
 	}
 }

@@ -84,16 +84,20 @@ type Options struct {
 	RecordHistory bool
 	// ResidualEvery (barrier engines) spaces the exact residual checks:
 	// with a value N > 1, the full-matrix SpMV behind the stopping test
-	// runs only at checkpoint iterations (every N-th and the last), while
-	// the iterations in between are gated by a free incremental estimate —
-	// the residual scaled by the ratio of block-update norms ‖Δx‖₂, which
-	// the kernels accumulate anyway. Convergence is only ever declared
-	// from an exact check, so the reported residual is never an estimate;
-	// the estimate can only defer a check, making at worst N−1 extra cheap
-	// iterations before convergence is noticed. Values 0 and 1 mean exact
-	// checks every iteration (the default). The gate requires a Tolerance
-	// and disables itself when the per-iteration residual is itself the
-	// output (RecordHistory, Metrics or OnResidual) or under ExactLocal.
+	// runs at every N-th iteration and the last, and at any iteration in
+	// between whose free incremental estimate — the last exact residual
+	// scaled by the ratio of block-update norms ‖Δx‖₂, which the kernels
+	// accumulate anyway — has reached the tolerance. So the estimate places
+	// the check that decides the stop, and N only caps the gap between
+	// checks. Convergence is only ever declared from an exact check, so the
+	// reported residual is never an estimate; a misplaced estimate costs at
+	// worst N−1 extra iterations before convergence is noticed. Values 0
+	// and 1 mean exact checks every iteration (the default). The gate
+	// requires a Tolerance and disables itself when the per-iteration
+	// residual is itself the output (RecordHistory) or under ExactLocal.
+	// Metrics and OnResidual do not disable it: they observe the exact
+	// checks that run. For the same ResidualEvery, setting them never
+	// changes the iterate, the stop iteration or the residual.
 	ResidualEvery int
 	// InitialGuess seeds x if non-nil (not modified); zero vector otherwise.
 	InitialGuess []float64
@@ -146,8 +150,9 @@ type Options struct {
 	// AfterIteration, if non-nil, runs after each global iteration's
 	// barrier with read/write access to the iterate. Package fault uses
 	// this hook to inject *silent* errors (§4.5: undetected corruption);
-	// monitoring code can use it to snoop on the iterate (OnResidual
-	// reports the residual without computing it again).
+	// monitoring code can use it to snoop on the iterate. It runs after
+	// every global iteration, checked or not (OnResidual reports the exact
+	// checks without computing the residual again).
 	AfterIteration func(iter int, x VectorAccess)
 
 	// Record, if non-nil, captures the executed block schedule: every
@@ -182,21 +187,23 @@ type Options struct {
 
 	// Metrics, if non-nil, receives per-engine counters (global iterations,
 	// block sweeps, stale reads, chaos injections, replay events) and the
-	// per-iteration residual into its bounded ring. Setting Metrics makes
-	// the engines compute the residual every global iteration even when
-	// Tolerance is 0 and RecordHistory is false, but it never changes
-	// control flow: the stopping test and divergence detection stay
-	// governed by Tolerance/RecordHistory alone.
+	// residual of every exact check into its bounded ring. With Tolerance 0
+	// and no RecordHistory, setting Metrics makes the engines compute the
+	// residual every global iteration; under the ResidualEvery gate it
+	// receives only the checks that run. It never changes control flow or
+	// the solve: the iterate, the stop iteration and the residual are
+	// those of the same solve without it.
 	Metrics *SolveMetrics
 	// OnResidual, if non-nil, receives every exact residual check of a
 	// barrier engine as soon as it is computed: the global iteration and
 	// the same ‖b−Ax‖₂ that goes into Result.Residual, the history and the
-	// metrics ring, passed before the stopping and divergence tests. It
-	// runs on the solve's goroutine. Like Metrics, setting it makes every
-	// global iteration compute the exact residual, even with Tolerance 0
-	// and no RecordHistory, and switches the ResidualEvery estimate off;
-	// it never changes control flow. internal/service reports job and
-	// session-step progress through it.
+	// metrics ring, passed before the stopping and divergence tests. The
+	// iterations arrive in increasing order and the last call is the
+	// result's (GlobalIterations, Residual). It runs on the solve's
+	// goroutine. Like Metrics, it makes every global iteration compute the
+	// exact residual when Tolerance is 0, sees only the checks that run
+	// under ResidualEvery, and never changes control flow or the solve.
+	// internal/service reports job and session-step progress through it.
 	OnResidual func(iter int, residual float64)
 
 	// referenceKernel pins the engines to the pre-staging reference block
@@ -363,13 +370,14 @@ type residualState struct {
 }
 
 // newResidualState sizes the gate for one solve. The incremental estimate
-// only engages when it cannot change observable output: there must be a
-// tolerance to estimate against, and no consumer of the per-iteration
-// residual (RecordHistory, Metrics, OnResidual). ExactLocal solves keep
-// exact checks — the direct subdomain solves do not produce an update norm.
+// needs a tolerance to estimate against, and stays off when the
+// per-iteration residual is the output (RecordHistory). Metrics and
+// OnResidual leave it on: they observe the exact checks that run. ExactLocal
+// solves keep exact checks — the direct subdomain solves do not produce an
+// update norm.
 func newResidualState(opt Options, exactLocal bool, scratch []float64, rows func(r, x []float64)) *residualState {
 	rs := &residualState{scratch: scratch, rows: rows, every: opt.ResidualEvery, tol: opt.Tolerance}
-	if opt.Tolerance <= 0 || opt.RecordHistory || opt.Metrics != nil || opt.OnResidual != nil || exactLocal {
+	if opt.Tolerance <= 0 || opt.RecordHistory || exactLocal {
 		rs.every = 0
 	}
 	return rs

@@ -16,10 +16,10 @@ var EngineNames = []string{"simulated", "goroutine", "freerunning", "sharded"}
 // SolveMetrics is the solver-level observability sink behind
 // Options.Metrics (and FreeRunningOptions.Metrics): per-engine counters
 // registered in a metrics.Registry, a per-engine solve-duration histogram,
-// and a bounded ring of per-iteration residuals. One SolveMetrics is meant
-// to be shared across many solves (internal/service attaches a single
-// instance to every job), so all methods are safe for concurrent use and
-// nil-safe — a nil *SolveMetrics records nothing.
+// and a bounded ring of the residuals of the exact checks. One SolveMetrics
+// is meant to be shared across many solves (internal/service attaches a
+// single instance to every job), so all methods are safe for concurrent use
+// and nil-safe — a nil *SolveMetrics records nothing.
 //
 // The counters are pre-registered for every engine at construction, so a
 // scrape of a freshly started daemon already exposes the full series set
@@ -70,9 +70,10 @@ func NewSolveMetrics(reg *metrics.Registry, residualRingCap int) *SolveMetrics {
 	return m
 }
 
-// ResidualHistory returns the retained per-iteration residuals,
-// oldest-first. The ring spans solves: a sequence of short solves leaves
-// their trailing residuals concatenated, which is exactly the "recent
+// ResidualHistory returns the retained residuals of the exact checks,
+// oldest-first: one per iteration unless Options.ResidualEvery spaces the
+// checks. The ring spans solves: a sequence of short solves leaves their
+// trailing residuals concatenated, which is exactly the "recent
 // convergence behaviour" view a dashboard wants.
 func (m *SolveMetrics) ResidualHistory() []float64 {
 	if m == nil {
@@ -105,7 +106,7 @@ func (m *SolveMetrics) engine(name string) *engineCounters {
 	return m.engines[name]
 }
 
-// pushResidual appends one per-iteration residual to the ring.
+// pushResidual appends one exact check's residual to the ring.
 func (m *SolveMetrics) pushResidual(r float64) {
 	if m != nil {
 		m.ring.Push(r)

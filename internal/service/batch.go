@@ -159,6 +159,7 @@ func (s *Service) runBatchAttempt(ctx context.Context, j *Job) (*JobResult, erro
 	if max := s.cfg.MaxBatchWorkers; max > 0 && workers > max {
 		workers = max
 	}
+	rs.opt.ResidualEvery = jobResidualEvery
 	res, batchErr := core.SolveBatch(rs.plan.Prepared, req.RHS, rs.opt, core.BatchOptions{Workers: workers})
 
 	summary := &BatchSummary{

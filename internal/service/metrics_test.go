@@ -158,8 +158,14 @@ func TestMetricszEngineAndDeviceSeries(t *testing.T) {
 	if occ := m[`gpusim_device_occupancy{device="Tesla C2070 (Fermi)"}`]; occ != 16.0/28 {
 		t.Errorf("occupancy = %g, want %g", occ, 16.0/28)
 	}
-	// The solver sink retained the job's residual trajectory.
-	if got := len(s.SolveMetrics().ResidualHistory()); got != done.Result.GlobalIterations {
-		t.Errorf("residual ring holds %d samples, want %d", got, done.Result.GlobalIterations)
+	// The solver sink retained the job's exact residual checks: under the
+	// job's residual gate fewer than one per iteration, the last one the
+	// check that stopped the solve.
+	ring := s.SolveMetrics().ResidualHistory()
+	if got := len(ring); got < 1 || got >= done.Result.GlobalIterations {
+		t.Errorf("residual ring holds %d samples for %d iterations, want at least 1 and fewer than the iterations",
+			got, done.Result.GlobalIterations)
+	} else if last := ring[len(ring)-1]; last != done.Result.Residual {
+		t.Errorf("last ring sample %v, result residual %v", last, done.Result.Residual)
 	}
 }

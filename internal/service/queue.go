@@ -65,14 +65,17 @@ func (s JobState) Terminal() bool {
 }
 
 // Progress is a point-in-time snapshot of a running solve, updated by
-// every exact residual check of the engine (core.Options.OnResidual): once
-// per global iteration.
+// every exact residual check of the engine (core.Options.OnResidual). A
+// queued job runs under the residual gate (jobResidualEvery), so progress
+// advances at its exact checks, not every global iteration; a
+// record_history job checks, and reports, every iteration.
 type Progress struct {
-	// GlobalIteration is the last completed global iteration.
+	// GlobalIteration is the global iteration of the last exact check.
 	GlobalIteration int `json:"global_iteration"`
-	// Residual is the engine's ‖b−Ax‖₂ at that iteration (0 until first
-	// measured); a finished block-asynchronous solve's last value equals
-	// its result's Residual.
+	// Residual is the engine's exact ‖b−Ax‖₂ at that iteration (0 until
+	// first measured); the stop is always decided by an exact check, so a
+	// finished block-asynchronous solve's last value equals its result's
+	// (GlobalIterations, Residual).
 	Residual float64 `json:"residual"`
 	// NumBlocks is the subdomain count of the plan (0 until planned).
 	NumBlocks int `json:"num_blocks,omitempty"`

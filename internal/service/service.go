@@ -912,6 +912,16 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
+// jobResidualEvery is the core.Options.ResidualEvery of every queued job,
+// solve and batch: between exact ‖b−Ax‖ checks the engine estimates the
+// residual from the block-update norms it already has, and that estimate
+// triggers the check that decides the stop; 8 caps the gap between checks.
+// The stop is always decided by an exact check, so every reported residual
+// is exact. Session steps keep a check every iteration (one stream frame
+// per iteration), and record_history jobs do too (core switches the gate
+// off for them).
+const jobResidualEvery = 8
+
 // runAttempt performs one solve attempt on the operator admitted with the
 // job: get or build the plan (the cache hit is what a warm daemon buys),
 // then iterate with the job's context threaded into the engine.
@@ -975,6 +985,7 @@ func (s *Service) runAttempt(ctx context.Context, j *Job, attempt int) (*JobResu
 	nb := plan.Prepared.NumBlocks()
 	s.perf.SetOccupancy(s.occupancy, nb)
 	j.setProgress(Progress{NumBlocks: nb, PlanHit: hit})
+	opt.ResidualEvery = jobResidualEvery
 	opt.OnResidual = func(iter int, residual float64) {
 		j.setProgress(Progress{GlobalIteration: iter, Residual: residual, NumBlocks: nb, PlanHit: hit})
 	}

@@ -546,8 +546,9 @@ func (s *Service) CloseSession(id string) (SessionView, error) {
 // solve. progress, when non-nil, receives the engine's own exact residual
 // check after every global iteration (core.Options.OnResidual), so the last
 // sample equals the step's result — the hook behind the streaming response
-// modes. It adds no SpMV: the service's metrics sink already makes the
-// engine check every iteration.
+// modes. Steps, unlike queued jobs, run without the residual gate
+// (jobResidualEvery): they check every iteration, so a stream carries one
+// frame per iteration and the hook adds no SpMV.
 func (s *Service) StepSession(id string, req StepRequest, progress func(StepProgress)) (StepResult, error) {
 	ss, err := s.sessions.get(id)
 	if err != nil {
